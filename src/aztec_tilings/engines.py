@@ -63,19 +63,19 @@ def count_profile_dp(g: EmbeddedGraph) -> int:
     if not g.vertices:
         return 1
     pts = set(g.vertices)
-    pairs = set(g.point_pairs())
+    edge_set = g.edge_set()
     xs = [x for x, _ in pts]
     ys = [y for _, y in pts]
     width = max(xs) - min(xs) + 1
     height = max(ys) - min(ys) + 1
     if height > width:
         pts = {(y, x) for x, y in pts}
-        pairs = {((p[1], p[0]), (q[1], q[0])) for p, q in pairs}
+        # transposing a unit step keeps its smaller point first
+        edge_set = {((p[1], p[0]), (q[1], q[0])) for p, q in edge_set}
         xs, ys = ys, xs
         height = width
     if height > PROFILE_WIDTH_LIMIT:
         raise TooLargeError(f"profile width {height} exceeds limit {PROFILE_WIDTH_LIMIT}")
-    edge_set = {tuple(sorted(pq)) for pq in pairs}
     x_lo, x_hi = min(xs), max(xs)
     y_lo = min(ys)
     full = (1 << height) - 1
@@ -163,11 +163,9 @@ def unit_square_faces_only(g: EmbeddedGraph) -> bool:
     components has E - V + C bounded faces, and each fully-edged unit
     square is necessarily one of them.
     """
-    pairs = set(g.point_pairs())
-    edge_set = {tuple(sorted(pq)) for pq in pairs}
-    pts = set(g.vertices)
+    edge_set = g.edge_set()
     squares = 0
-    for (x, y) in pts:
+    for (x, y) in g.vertices:
         if (
             ((x, y), (x + 1, y)) in edge_set
             and ((x, y), (x, y + 1)) in edge_set
@@ -176,7 +174,7 @@ def unit_square_faces_only(g: EmbeddedGraph) -> bool:
         ):
             squares += 1
     c = len(connected_components(g))
-    return len(edge_set) - len(pts) + c == squares
+    return len(g.edges) - len(g.vertices) + c == squares
 
 
 def count_fkt(g: EmbeddedGraph) -> int:
@@ -195,28 +193,19 @@ def count_fkt(g: EmbeddedGraph) -> int:
         return 0
     if not evens:
         return 1
+    row = {p: i for i, p in enumerate(evens)}
     col = {p: i for i, p in enumerate(odds)}
-    edge_set = _edge_lookup(g)
     rows = [[(0, 0)] * len(odds) for _ in evens]
-    for r, p in enumerate(evens):
-        for q in _unit_neighbors(p):
-            if q in col and tuple(sorted((p, q))) in edge_set:
-                rows[r][col[q]] = (1, 0) if p[1] == q[1] else (0, 1)
+    for p, q in g.point_pairs():
+        if p not in row:
+            p, q = q, p
+        rows[row[p]][col[q]] = (1, 0) if p[1] == q[1] else (0, 1)
     a, b = _det_gaussian(rows)
     m2 = a * a + b * b
     m = isqrt(m2)
     if m * m != m2:
         raise CountMismatchError("determinant modulus is not an integer")
     return m
-
-
-def _unit_neighbors(p: tuple[int, int]):
-    x, y = p
-    return ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1))
-
-
-def _edge_lookup(g: EmbeddedGraph) -> set:
-    return {tuple(sorted(pq)) for pq in g.point_pairs()}
 
 
 def fkt_supported(g: EmbeddedGraph) -> bool:
@@ -234,33 +223,33 @@ _DISPATCH = {
 def count(g: EmbeddedGraph, engine: str = "auto", crosscheck: bool = False) -> int:
     """Front door: dispatch to an engine, optionally double-count and compare.
 
-    Disagreement between engines raises CountMismatchError; it is never
-    silently resolved.
+    "auto" is the profile sweep.  Disagreement between engines raises
+    CountMismatchError, and a crosscheck no second engine can run raises
+    UnsupportedEmbeddingError; neither is ever silently resolved.
     """
     if engine == "auto":
-        result = count_profile_dp(g)
-        if crosscheck and len(g.vertices) < AUTO_CROSSCHECK_BELOW:
-            _compare(result, count_brute(g), "profile_dp", "brute")
-        return result
+        engine = "profile_dp"
     if engine not in _DISPATCH:
         raise ValueError(f"unknown engine {engine!r}")
     result = _DISPATCH[engine](g)
     if crosscheck:
-        other = _second_opinion(g, engine)
-        if other is not None:
-            name, value = other
-            _compare(result, value, engine, name)
+        name, value = _second_opinion(g, engine)
+        _compare(result, value, engine, name)
     return result
 
 
-def _second_opinion(g: EmbeddedGraph, engine: str):
+def _second_opinion(g: EmbeddedGraph, engine: str) -> tuple[str, int]:
+    # The sweep rechecks the other engines; brute, else fkt, rechecks the sweep.
     if engine != "profile_dp":
         return ("profile_dp", count_profile_dp(g))
     if len(g.vertices) < AUTO_CROSSCHECK_BELOW:
         return ("brute", count_brute(g))
     if fkt_supported(g):
         return ("fkt", count_fkt(g))
-    return None
+    raise UnsupportedEmbeddingError(
+        f"no second engine can recheck profile_dp here: {len(g.vertices)} vertices "
+        f"(brute needs < {AUTO_CROSSCHECK_BELOW}) and a bounded face is not a unit square (fkt)"
+    )
 
 
 def _compare(a: int, b: int, name_a: str, name_b: str) -> None:

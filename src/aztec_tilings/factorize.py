@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .engines import count
 from .errors import FactorizationError
-from .grids import EmbeddedGraph, Point, connected_components
+from .grids import EmbeddedGraph, Point, connected_components, unit_neighbors
 
 SLOPE_UP = 1
 SLOPE_DOWN = -1
@@ -93,7 +93,7 @@ def _axis_if_valid(g: EmbeddedGraph, slope: int) -> DiagonalAxis | None:
     offset = total // 2
     if any(_reflect(slope, offset, p) not in pts for p in pts):
         return None
-    pairs = {tuple(sorted(pq)) for pq in g.point_pairs()}
+    pairs = g.edge_set()
     for p, q in pairs:
         image = tuple(sorted((_reflect(slope, offset, p), _reflect(slope, offset, q))))
         if image not in pairs:
@@ -126,12 +126,12 @@ def apply_factorization(g: EmbeddedGraph, axis: DiagonalAxis) -> FactorizationRe
         return _diag_value(axis.slope, p) > axis.offset
 
     pts = set(g.vertices)
-    pairs = {tuple(sorted(pq)) for pq in g.point_pairs()}
+    pairs = g.edge_set()
     for idx, v in enumerate(axis.on_axis):
         keep_above = idx % 2 == 0
-        for q in _unit_neighbors(v):
+        for q in unit_neighbors(v):
             if q in pts and above(q) != keep_above:
-                pairs.discard(tuple(sorted((v, q))))
+                pairs.discard((min(v, q), max(v, q)))
     residual = EmbeddedGraph.from_points(g.vertices, pairs)
 
     plus_pts: set[Point] = set()
@@ -174,8 +174,3 @@ def verify_factorization(g: EmbeddedGraph, engine: str = "auto") -> Factorizatio
         m_plus=count(result.g_plus, engine),
         m_minus=count(result.g_minus, engine),
     )
-
-
-def _unit_neighbors(p: Point):
-    x, y = p
-    return ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1))

@@ -29,7 +29,11 @@ LATTICE_SYMMETRIES = (
     lambda x, y: (-y, -x),
 )
 
-_UNIT_STEPS = ((1, 0), (-1, 0), (0, 1), (0, -1))
+
+def unit_neighbors(p: Point) -> tuple[Point, ...]:
+    """The four lattice points at L1 distance 1 from p."""
+    x, y = p
+    return ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1))
 
 
 @dataclass(frozen=True)
@@ -91,6 +95,15 @@ class EmbeddedGraph:
         """Edges as point pairs."""
         return [(self.vertices[u], self.vertices[v]) for u, v in self.edges]
 
+    def edge_set(self) -> set[PointPair]:
+        """Edges as a set of point pairs, each with its smaller point first.
+
+        Vertices are sorted and every edge has u < v, so point_pairs() is
+        already in this form.  Not cached: a graph held for a long run
+        would otherwise keep its set alive.
+        """
+        return set(self.point_pairs())
+
     def adjacency(self) -> dict[Point, list[Point]]:
         """Point-keyed adjacency lists, neighbor lists sorted."""
         adj: dict[Point, list[Point]] = {p: [] for p in self.vertices}
@@ -110,6 +123,9 @@ class EmbeddedGraph:
     @classmethod
     def from_json_dict(cls, data: dict) -> "EmbeddedGraph":
         vs = [tuple(p) for p in data["vertices"]]
+        for u, v in data["edges"]:
+            if not (0 <= u < len(vs) and 0 <= v < len(vs)):
+                raise ValueError(f"edge ({u}, {v}) indexes outside 0..{len(vs) - 1}")
         pairs = [(vs[u], vs[v]) for u, v in data["edges"]]
         return cls.from_points(vs, pairs)
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import InvalidHolesError, InvalidOrderError, InvalidPointError
-from .grids import EmbeddedGraph, LATTICE_SYMMETRIES
+from .grids import EmbeddedGraph, dual_graph, isomorphic_embedded
 
 Cell = tuple[int, int]
 
@@ -120,26 +120,13 @@ def rotate_cells_90(cells: Iterable[Cell]) -> frozenset[Cell]:
     return frozenset((-j - 1, i) for i, j in cells)
 
 
-def _canonical_cells(cells: frozenset[Cell]) -> tuple:
-    if not cells:
-        return ()
-    best = None
-    for sym in LATTICE_SYMMETRIES:
-        moved = []
-        for i, j in cells:
-            p, q = sym(2 * i + 1, 2 * j + 1)
-            moved.append(((p - 1) // 2, (q - 1) // 2))
-        oi = min(i for i, _ in moved)
-        oj = min(j for _, j in moved)
-        key = tuple(sorted((i - oi, j - oj) for i, j in moved))
-        if best is None or key < best:
-            best = key
-    return best
-
-
 def congruent(r1: Region, r2: Region) -> bool:
-    """True iff some lattice symmetry plus translation maps r1's cells onto r2's."""
-    return _canonical_cells(r1.cells) == _canonical_cells(r2.cells)
+    """True iff some lattice symmetry plus translation maps r1's cells onto r2's.
+
+    A dual graph has every side-sharing pair of cells as an edge, so a map
+    carries one region onto the other exactly when it carries the duals.
+    """
+    return isomorphic_embedded(dual_graph(r1), dual_graph(r2))
 
 
 def set_A(n: int) -> tuple[int, ...]:

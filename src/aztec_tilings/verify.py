@@ -9,13 +9,16 @@ repeated runs are byte-identical.
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable, Iterator
 
 from . import engines
-from .factorize import apply_factorization, find_diagonal_axis
+from .errors import FactorizationError
+from .factorize import apply_factorization, find_diagonal_axis, verify_factorization
 from .formulas import (
     LEMMA1_IDS,
     lemma1_sides,
@@ -38,18 +41,6 @@ from .regions import (
     set_B,
 )
 
-SUITE_NAMES = (
-    "theorem1",
-    "lemma1",
-    "lemma2",
-    "lemma3",
-    "lemma4",
-    "lemma5",
-    "lemma6",
-    "factorization",
-    "engines",
-)
-
 _RANDOM_SEED = 20240801
 
 
@@ -61,11 +52,11 @@ class VerifyCase:
     ok: bool
 
 
-@dataclass
+@dataclass(frozen=True)
 class SuiteReport:
     suite: str
-    cases: list[VerifyCase] = field(default_factory=list)
-    wall_ms: float = 0.0
+    cases: tuple[VerifyCase, ...]
+    wall_ms: float
 
     @property
     def ok(self) -> bool:
@@ -96,6 +87,26 @@ class SuiteReport:
         return "\n".join(lines)
 
 
+# Suite name -> (runner, the run_suite bound it reads: "max_order", "max_n" or None).
+_SUITES: dict[str, tuple[Callable[..., SuiteReport], str | None]] = {}
+
+
+def _suite(name: str, bound: str | None = None):
+    """Register a case generator as a named suite that times and reports its cases."""
+
+    def register(body: Callable[..., Iterator[VerifyCase]]) -> Callable[..., SuiteReport]:
+        @functools.wraps(body)
+        def run(*args, **kwargs) -> SuiteReport:
+            t0 = time.monotonic()
+            cases = tuple(body(*args, **kwargs))
+            return SuiteReport(suite=name, cases=cases, wall_ms=(time.monotonic() - t0) * 1000)
+
+        _SUITES[name] = (run, bound)
+        return run
+
+    return register
+
+
 def _case(cid: str, expected, actual) -> VerifyCase:
     e, a = str(expected), str(actual)
     return VerifyCase(case_id=cid, expected=e, actual=a, ok=e == a)
@@ -105,28 +116,22 @@ def _bool_case(cid: str, value: bool) -> VerifyCase:
     return VerifyCase(case_id=cid, expected="true", actual=str(value).lower(), ok=value)
 
 
-def suite_theorem1(max_order: int = 12) -> SuiteReport:
+@_suite("theorem1", bound="max_order")
+def suite_theorem1(max_order: int = 12) -> Iterator[VerifyCase]:
     """Engine count of every quartered region equals its closed form."""
-    report = SuiteReport(suite="theorem1")
-    t0 = time.monotonic()
     for order in range(1, max_order + 1):
         for kind in QUARTER_KINDS:
             counted = engines.count(dual_graph(build_quartered(order, kind)))
-            report.cases.append(_case(f"{kind}({order})", theorem1_value(kind, order), counted))
-    report.wall_ms = (time.monotonic() - t0) * 1000
-    return report
+            yield _case(f"{kind}({order})", theorem1_value(kind, order), counted)
 
 
-def suite_lemma1(max_n: int = 2) -> SuiteReport:
+@_suite("lemma1", bound="max_n")
+def suite_lemma1(max_n: int = 2) -> Iterator[VerifyCase]:
     """The four doubling recurrences, both sides counted independently."""
-    report = SuiteReport(suite="lemma1")
-    t0 = time.monotonic()
     for n in range(1, max_n + 1):
         for which in LEMMA1_IDS:
             lhs, scaled_rhs = lemma1_sides(which, n)
-            report.cases.append(_case(f"{which}[n={n}]", scaled_rhs, lhs))
-    report.wall_ms = (time.monotonic() - t0) * 1000
-    return report
+            yield _case(f"{which}[n={n}]", scaled_rhs, lhs)
 
 
 # Forced-edge identities: (id, family, larger order, smaller order).
@@ -138,22 +143,17 @@ _LEMMA2_PAIRS = (
 )
 
 
-def suite_lemma2(max_n: int = 2) -> SuiteReport:
+@_suite("lemma2", bound="max_n")
+def suite_lemma2(max_n: int = 2) -> Iterator[VerifyCase]:
     """Forced-edge reduction maps the larger dual onto the smaller one."""
-    report = SuiteReport(suite="lemma2")
-    t0 = time.monotonic()
     for n in range(1, max_n + 1):
         for name, kind, big, small in _LEMMA2_PAIRS:
             g_big = dual_graph(build_quartered(big(n), kind))
             g_small = dual_graph(build_quartered(small(n), kind))
             reduction = reduce_forced(g_big)
             iso = (not reduction.infeasible) and isomorphic_embedded(reduction.reduced, g_small)
-            report.cases.append(_bool_case(f"{name}[n={n}]:iso", iso))
-            report.cases.append(
-                _case(f"{name}[n={n}]:count", engines.count(g_small), engines.count(g_big))
-            )
-    report.wall_ms = (time.monotonic() - t0) * 1000
-    return report
+            yield _bool_case(f"{name}[n={n}]:iso", iso)
+            yield _case(f"{name}[n={n}]:count", engines.count(g_small), engines.count(g_big))
 
 
 # Factorization identities: (id, graph builder, upper kind, lower kind, order).
@@ -169,42 +169,34 @@ _LEMMA3_TABLE = (
 )
 
 
-def suite_lemma3(max_n: int = 2) -> SuiteReport:
+@_suite("lemma3", bound="max_n")
+def suite_lemma3(max_n: int = 2) -> Iterator[VerifyCase]:
     """Holey rectangles factor into quartered duals with the right product."""
-    report = SuiteReport(suite="lemma3")
-    t0 = time.monotonic()
     for n in range(1, max_n + 1):
         for name, builder, plus_kind, minus_kind, order in _LEMMA3_TABLE:
             g = builder(n)
             axis = find_diagonal_axis(g)
             if axis is None:
-                report.cases.append(_bool_case(f"{name}[n={n}]:axis", False))
+                yield _bool_case(f"{name}[n={n}]:axis", False)
                 continue
             result = apply_factorization(g, axis)
-            report.cases.append(_case(f"{name}[n={n}]:w", n, result.w))
+            yield _case(f"{name}[n={n}]:w", n, result.w)
             plus_dual = dual_graph(build_quartered(order(n), plus_kind))
             minus_dual = dual_graph(build_quartered(order(n), minus_kind))
-            report.cases.append(
-                _bool_case(f"{name}[n={n}]:plus~{plus_kind}",
-                           isomorphic_embedded(result.g_plus, plus_dual))
-            )
-            report.cases.append(
-                _bool_case(f"{name}[n={n}]:minus~{minus_kind}",
-                           isomorphic_embedded(result.g_minus, minus_dual))
-            )
+            yield _bool_case(f"{name}[n={n}]:plus~{plus_kind}",
+                             isomorphic_embedded(result.g_plus, plus_dual))
+            yield _bool_case(f"{name}[n={n}]:minus~{minus_kind}",
+                             isomorphic_embedded(result.g_minus, minus_dual))
             product = (1 << n) * engines.count(plus_dual) * engines.count(minus_dual)
-            report.cases.append(_case(f"{name}[n={n}]:identity", engines.count(g), product))
-    report.wall_ms = (time.monotonic() - t0) * 1000
-    return report
+            yield _case(f"{name}[n={n}]:identity", engines.count(g), product)
 
 
 _HOLEY_SHAPES = ((2, 4), (2, 5), (3, 5), (3, 6))
 
 
-def suite_lemma4(trials: int = 20) -> SuiteReport:
+@_suite("lemma4")
+def suite_lemma4(trials: int = 20) -> Iterator[VerifyCase]:
     """Hole-position formula equals engine count on fixed and random instances."""
-    report = SuiteReport(suite="lemma4")
-    t0 = time.monotonic()
     rng = random.Random(_RANDOM_SEED)
     instances = [(3, 5, (1, 3, 5))]
     for m, n in _HOLEY_SHAPES:
@@ -213,15 +205,12 @@ def suite_lemma4(trials: int = 20) -> SuiteReport:
     for m, n, kept in instances:
         g = build_holey_ar(m, n, kept)
         cid = f"ar({m},{n})keep={','.join(map(str, kept))}"
-        report.cases.append(_case(cid, lemma4_value(m, n, kept), engines.count(g)))
-    report.wall_ms = (time.monotonic() - t0) * 1000
-    return report
+        yield _case(cid, lemma4_value(m, n, kept), engines.count(g))
 
 
-def suite_lemma5(trials: int = 20) -> SuiteReport:
+@_suite("lemma5")
+def suite_lemma5(trials: int = 20) -> Iterator[VerifyCase]:
     """Bottomless variant of the hole-position formula, same scheme."""
-    report = SuiteReport(suite="lemma5")
-    t0 = time.monotonic()
     rng = random.Random(_RANDOM_SEED + 1)
     instances = [(3, 5, (3, 4, 6))]
     for m, n in _HOLEY_SHAPES:
@@ -230,25 +219,19 @@ def suite_lemma5(trials: int = 20) -> SuiteReport:
     for m, n, removed in instances:
         g = build_holey_ar_bar(m, n, removed)
         cid = f"arbar({m},{n})remove={','.join(map(str, removed))}"
-        report.cases.append(_case(cid, lemma5_value(m, n, removed), engines.count(g)))
-    report.wall_ms = (time.monotonic() - t0) * 1000
-    return report
+        yield _case(cid, lemma5_value(m, n, removed), engines.count(g))
 
 
-def suite_lemma6(max_n: int = 50) -> SuiteReport:
+@_suite("lemma6", bound="max_n")
+def suite_lemma6(max_n: int = 50) -> Iterator[VerifyCase]:
     """Exact rational equality of the difference-product ratio identity."""
-    report = SuiteReport(suite="lemma6")
-    t0 = time.monotonic()
     for n in range(1, max_n + 1):
-        report.cases.append(_case(f"n={n}", lemma6_rhs(n), lemma6_lhs(n)))
-    report.wall_ms = (time.monotonic() - t0) * 1000
-    return report
+        yield _case(f"n={n}", lemma6_rhs(n), lemma6_lhs(n))
 
 
-def suite_factorization(max_n: int = 2) -> SuiteReport:
+@_suite("factorization", bound="max_n")
+def suite_factorization(max_n: int = 2) -> Iterator[VerifyCase]:
     """The product identity itself, on the 4-cycle and all holey rectangles."""
-    report = SuiteReport(suite="factorization")
-    t0 = time.monotonic()
     targets: list[tuple[str, EmbeddedGraph]] = [
         ("square", EmbeddedGraph.from_points([(0, 0), (0, 1), (1, 0), (1, 1)]))
     ]
@@ -262,16 +245,12 @@ def suite_factorization(max_n: int = 2) -> SuiteReport:
             (f"arbar({2*n},{4*n-1})B{n}", build_holey_ar_bar(2 * n, 4 * n - 1, set_B(n)))
         )
     for name, g in targets:
-        axis = find_diagonal_axis(g)
-        if axis is None:
-            report.cases.append(_bool_case(f"{name}:axis", False))
+        try:
+            report = verify_factorization(g)
+        except FactorizationError:
+            yield _bool_case(f"{name}:axis", False)
             continue
-        result = apply_factorization(g, axis)
-        product = (1 << result.w)
-        product *= engines.count(result.g_plus) * engines.count(result.g_minus)
-        report.cases.append(_case(name, engines.count(g), product))
-    report.wall_ms = (time.monotonic() - t0) * 1000
-    return report
+        yield _case(name, report.m_g, (1 << report.w) * report.m_plus * report.m_minus)
 
 
 def random_grid_subgraph(rng: random.Random, side: int = 6) -> EmbeddedGraph:
@@ -280,42 +259,34 @@ def random_grid_subgraph(rng: random.Random, side: int = 6) -> EmbeddedGraph:
     return EmbeddedGraph.from_points(cells)
 
 
-def suite_engines(trials: int = 300) -> SuiteReport:
+@_suite("engines")
+def suite_engines(trials: int = 300) -> Iterator[VerifyCase]:
     """All engines agree on random induced subgraphs of the 6x6 grid."""
-    report = SuiteReport(suite="engines")
-    t0 = time.monotonic()
     rng = random.Random(_RANDOM_SEED)
     for k in range(trials):
         g = random_grid_subgraph(rng)
         brute = engines.count_brute(g)
-        report.cases.append(_case(f"rnd#{k:03d}:dp", brute, engines.count_profile_dp(g)))
+        yield _case(f"rnd#{k:03d}:dp", brute, engines.count_profile_dp(g))
         if engines.fkt_supported(g):
-            report.cases.append(_case(f"rnd#{k:03d}:fkt", brute, engines.count_fkt(g)))
-    report.wall_ms = (time.monotonic() - t0) * 1000
-    return report
+            yield _case(f"rnd#{k:03d}:fkt", brute, engines.count_fkt(g))
+
+
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(name: str, max_order: int = 12, max_n: int | None = None) -> SuiteReport:
-    """Run one named suite with its bound (max_order for theorem1, max_n otherwise)."""
-    if name == "theorem1":
-        return suite_theorem1(max_order=max_order)
-    if name == "lemma1":
-        return suite_lemma1(max_n=max_n or 2)
-    if name == "lemma2":
-        return suite_lemma2(max_n=max_n or 2)
-    if name == "lemma3":
-        return suite_lemma3(max_n=max_n or 2)
-    if name == "lemma4":
-        return suite_lemma4()
-    if name == "lemma5":
-        return suite_lemma5()
-    if name == "lemma6":
-        return suite_lemma6(max_n=max_n or 50)
-    if name == "factorization":
-        return suite_factorization(max_n=max_n or 2)
-    if name == "engines":
-        return suite_engines()
-    raise ValueError(f"unknown suite {name!r}")
+    """Run one named suite with its bound (max_order for theorem1, max_n otherwise).
+
+    A suite that reads max_n keeps its own default when max_n is None or 0.
+    """
+    if name not in _SUITES:
+        raise ValueError(f"unknown suite {name!r}")
+    suite, bound = _SUITES[name]
+    if bound == "max_order":
+        return suite(max_order=max_order)
+    if bound == "max_n" and max_n:
+        return suite(max_n=max_n)
+    return suite()
 
 
 def run_all(max_order: int = 12) -> list[SuiteReport]:

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -70,6 +72,26 @@ def test_invalid_input_exits_2():
     assert run_cli("count", "--family", "ad", "--n", "0").returncode == 2
     assert run_cli("gen", "ar_bar", "--m", "1", "--n", "1", "--remove", "1,2").returncode == 2
     assert run_cli("count").returncode == 2
+
+
+@pytest.mark.parametrize(
+    "payload,extra",
+    [
+        ({"vertices": [[0, 0], [0, 1]], "edges": [[0, 5]]}, ()),
+        ({"vertices": [[0, 0], [1, 0], [1, 1], [0, 1]], "edges": [[-1, 0], [0, 1]]}, ()),
+        # a valid region that no engine can recheck the sweep on: 34 cells, two holes
+        (
+            {"cells": [[i, j] for i in range(6) for j in range(6)
+                       if (i, j) not in ((1, 1), (3, 4))]},
+            ("--crosscheck",),
+        ),
+    ],
+)
+def test_bad_graph_input_exits_2(payload, extra):
+    proc = run_cli("count", "--input", "-", *extra, stdin=json.dumps(payload))
+    assert proc.returncode == 2
+    assert proc.stderr.strip()
+    assert "Traceback" not in proc.stderr
 
 
 def test_verify_suite_exit_code_and_format():

@@ -132,6 +132,25 @@ def test_count_disagreement_raises(monkeypatch):
         eng.count(g, engine="auto", crosscheck=True)
 
 
+def test_crosscheck_past_brute_limit_uses_fkt(monkeypatch):
+    from aztec_tilings import engines as eng
+
+    g = dual_graph(build_aztec_diamond(4))  # 40 vertices: too many for brute
+    monkeypatch.setattr(eng, "count_fkt", lambda _: 99)
+    with pytest.raises(CountMismatchError):
+        eng.count(g, engine="auto", crosscheck=True)
+
+
+def test_crosscheck_without_second_engine_raises():
+    # 34 vertices and two holes, so neither brute nor fkt can recheck the sweep
+    holed = EmbeddedGraph.from_points(
+        [(i, j) for i in range(6) for j in range(6) if (i, j) not in ((1, 1), (3, 4))]
+    )
+    assert count(holed) == 500
+    with pytest.raises(UnsupportedEmbeddingError):
+        count(holed, crosscheck=True)
+
+
 def test_counts_are_deterministic():
     g = dual_graph(build_quartered(9, KLEIN_NONABUT))
     first = count_profile_dp(g)

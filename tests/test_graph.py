@@ -56,6 +56,13 @@ def test_graph_validation():
         EmbeddedGraph(vertices=((0, 0), (0, 0)), edges=())
     with pytest.raises(ValueError):
         EmbeddedGraph.from_points([(0, 0)], [((0, 0), (1, 0))])
+    with pytest.raises(ValueError):
+        EmbeddedGraph.from_json_dict({"vertices": [[0, 0], [0, 1]], "edges": [[0, 5]]})
+    # a negative index must not wrap around to the last vertex
+    with pytest.raises(ValueError):
+        EmbeddedGraph.from_json_dict(
+            {"vertices": [[0, 0], [1, 0], [1, 1], [0, 1]], "edges": [[-1, 0], [0, 1]]}
+        )
 
 
 def test_graph_json_round_trip():

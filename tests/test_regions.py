@@ -1,9 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aztec_tilings.errors import InvalidHolesError, InvalidOrderError, InvalidPointError
-from aztec_tilings.grids import dual_graph
+from aztec_tilings.grids import LATTICE_SYMMETRIES, dual_graph
 from aztec_tilings.engines import count_brute
 from aztec_tilings.regions import (
     KLEIN_ABUT,
@@ -152,6 +154,44 @@ def test_all_pinwheel_quarters_congruent():
     for _ in range(3):
         cells = rotate_cells_90(cells)
         assert congruent(r5, Region(cells=cells))
+
+
+cells_4x4 = st.frozensets(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=16)
+
+
+def _move_cells(cells, k, dx, dy):
+    # a lattice map acts on a cell through its doubled centre (2i+1, 2j+1)
+    moved = set()
+    for i, j in cells:
+        p, q = LATTICE_SYMMETRIES[k](2 * i + 1, 2 * j + 1)
+        moved.add(((p - 1) // 2 + dx, (q - 1) // 2 + dy))
+    return frozenset(moved)
+
+
+def _cells_congruent(a, b):
+    """Reference: some lattice map, then a translation, takes a's cells to b's."""
+    if len(a) != len(b):
+        return False
+    if not a:
+        return True
+    for k in range(len(LATTICE_SYMMETRIES)):
+        moved = _move_cells(a, k, 0, 0)
+        di = min(i for i, _ in b) - min(i for i, _ in moved)
+        dj = min(j for _, j in b) - min(j for _, j in moved)
+        if frozenset((i + di, j + dj) for i, j in moved) == b:
+            return True
+    return False
+
+
+@settings(max_examples=300, deadline=None)
+@given(cells_4x4, cells_4x4, st.booleans(), st.integers(0, 7),
+       st.integers(-9, 9), st.integers(-9, 9))
+def test_congruent_matches_cell_maps(cells, other, placed, k, dx, dy):
+    if placed:
+        other = _move_cells(cells, k, dx, dy)
+    expected = _cells_congruent(cells, other)
+    assert congruent(Region(cells=cells), Region(cells=other)) == expected
+    assert expected or not placed
 
 
 def test_rectangle_vertex_counts():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -33,6 +34,29 @@ def test_json_is_deterministic():
     assert payload["ok"] is True
     # no timing data may leak into the stable output
     assert "wall" not in a
+
+
+def test_verify_all_json_is_pinned():
+    text = verify.reports_to_json(verify.run_all(12))
+    assert len(text) == 58269
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "dc623cf7344b437150dae0b255df5cb499b1a00704b500105f256c2393536700"
+
+
+@pytest.mark.parametrize(
+    "name,bounds,cases",
+    [
+        ("theorem1", {"max_order": 2}, 6),
+        ("lemma6", {"max_n": 3}, 3),
+        ("lemma6", {"max_n": None}, 50),
+        ("lemma1", {"max_n": 1}, 4),
+        ("lemma4", {"max_n": 1}, 81),  # lemma4 has no max_n bound
+    ],
+)
+def test_run_suite_passes_each_suite_its_bound(name, bounds, cases):
+    report = verify.run_suite(name, **bounds)
+    assert report.suite == name
+    assert len(report.cases) == cases
 
 
 def test_combined_json_shape():
