@@ -132,10 +132,13 @@ def _parse_orders(text: str) -> list[int]:
 
 
 def cmd_bench(args) -> int:
-    rows = ["instance,engine,vertices,ms,digits"]
-    for family in args.families.split(","):
+    families = args.families.split(",")
+    for family in families:
         _need(family in _REGION_FAMILIES, f"unknown bench family {family!r}")
-        for order in _parse_orders(args.orders):
+    orders = _parse_orders(args.orders)
+    print("instance,engine,vertices,ms,digits", flush=True)
+    for family in families:
+        for order in orders:
             if family == "ad":
                 g = dual_graph(build_aztec_diamond(order))
             else:
@@ -149,13 +152,11 @@ def cmd_bench(args) -> int:
                     ms = (time.perf_counter() - t0) * 1000
                     best_ms = ms if best_ms is None else min(best_ms, ms)
                 results[engine] = value
-                rows.append(
-                    f"{family}({order}),{engine},{len(g)},{best_ms:.3f},{len(str(value))}"
-                )
+                print(f"{family}({order}),{engine},{len(g)},{best_ms:.3f},{len(str(value))}",
+                      flush=True)
             if len(set(results.values())) > 1:
                 print(f"engine disagreement on {family}({order}): {results}", file=sys.stderr)
                 return 1
-    print("\n".join(rows))
     return 0
 
 

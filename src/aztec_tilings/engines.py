@@ -8,8 +8,6 @@ structurally unrelated cross-check.
 
 from __future__ import annotations
 
-from math import isqrt
-
 from .errors import CountMismatchError, TooLargeError, UnsupportedEmbeddingError
 from .grids import EmbeddedGraph, connected_components
 
@@ -29,7 +27,6 @@ def count_brute(g: EmbeddedGraph) -> int:
         return 1
     if n % 2:
         return 0
-    index = {p: i for i, p in enumerate(g.vertices)}
     nbrs: list[list[int]] = [[] for _ in range(n)]
     for u, v in g.edges:
         nbrs[u].append(v)
@@ -111,53 +108,59 @@ def count_profile_dp(g: EmbeddedGraph) -> int:
     return states.get(full, 0)
 
 
-def _gmul(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
-
-def _gsub(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
-    return (a[0] - b[0], a[1] - b[1])
-
-
-def _gdiv_exact(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
-    norm = b[0] * b[0] + b[1] * b[1]
-    re = a[0] * b[0] + a[1] * b[1]
-    im = a[1] * b[0] - a[0] * b[1]
-    if re % norm or im % norm:
+def _exact_div(num: int, den: int) -> int:
+    q, r = divmod(num, den)
+    if r:
         raise CountMismatchError("non-exact division in fraction-free elimination")
-    return (re // norm, im // norm)
+    return q
 
 
-def _det_gaussian(rows: list[list[tuple[int, int]]]) -> tuple[int, int]:
-    # Fraction-free (Bareiss) elimination over the Gaussian integers.
-    n = len(rows)
-    if n == 0:
-        return (1, 0)
-    sign = 1
-    prev = (1, 0)
-    for k in range(n - 1):
-        if rows[k][k] == (0, 0):
-            swap = next((r for r in range(k + 1, n) if rows[r][k] != (0, 0)), None)
-            if swap is None:
-                return (0, 0)
-            rows[k], rows[swap] = rows[swap], rows[k]
-            sign = -sign
-        pivot = rows[k][k]
-        for i in range(k + 1, n):
-            head = rows[i][k]
-            row_i = rows[i]
-            row_k = rows[k]
-            for j in range(k + 1, n):
-                num = _gsub(_gmul(pivot, row_i[j]), _gmul(head, row_k[j]))
-                row_i[j] = _gdiv_exact(num, prev)
-            row_i[k] = (0, 0)
+def _abs_det(rows: list[dict[int, int]]) -> int:
+    """|det| of a square matrix as sparse rows (column -> nonzero entry), consumed.
+
+    Fraction-free (Bareiss) elimination, column by column: column k's pivot
+    is the lowest remaining row with an entry there, and only rows with an
+    entry in column k are updated.  Other rows stay stale: s = stamp[i] is
+    the pivot row i was last scaled to, so its true entries are V = v*prev/s
+    and H = head*prev/s, and the Bareiss step (pivot*V - H*w) / prev is
+    (pivot*v - head*w) / s, exact since every true entry is a minor.  Only
+    |det| is wanted, so the pivot permutation's sign is not kept.
+    """
+    holders: list[set[int]] = [set() for _ in rows]  # column -> rows with an entry
+    for i, row in enumerate(rows):
+        for j in row:
+            holders[j].add(i)
+    stamp = [1] * len(rows)
+    prev = 1
+    for k, live in enumerate(holders):
+        if not live:
+            return 0
+        p = min(live)
+        live.discard(p)
+        prow = rows[p]
+        for j, w in prow.items():
+            prow[j] = _exact_div(w * prev, stamp[p])
+        pivot = prow.pop(k)
+        for j in prow:
+            holders[j].discard(p)
+        for i in live:
+            row = rows[i]
+            head = row.pop(k)
+            for j in prow.keys() - row.keys():
+                row[j] = 0
+                holders[j].add(i)
+            for j, v in list(row.items()):
+                row[j] = _exact_div(pivot * v - head * prow.get(j, 0), stamp[i])
+                if not row[j]:
+                    del row[j]
+                    holders[j].discard(i)
+            stamp[i] = pivot
         prev = pivot
-    d = rows[n - 1][n - 1]
-    return d if sign == 1 else (-d[0], -d[1])
+    return abs(prev)
 
 
-def unit_square_faces_only(g: EmbeddedGraph) -> bool:
-    """True iff every bounded face of the embedding is a unit lattice square.
+def fkt_supported(g: EmbeddedGraph) -> bool:
+    """Whether count_fkt accepts g: every bounded face is a unit lattice square.
 
     Euler count: a planar embedding with V vertices, E edges and C
     components has E - V + C bounded faces, and each fully-edged unit
@@ -178,39 +181,35 @@ def unit_square_faces_only(g: EmbeddedGraph) -> bool:
 
 
 def count_fkt(g: EmbeddedGraph) -> int:
-    """Count perfect matchings as the modulus of a weighted adjacency determinant.
+    """Count perfect matchings as |det| of a +-1 Kasteleyn matrix.
 
-    Horizontal edges weigh 1 and vertical edges weigh the imaginary unit;
-    with all bounded faces unit squares this weighting is valid and the
-    determinant's modulus is the matching count, computed here exactly
-    over the Gaussian integers.
+    Rows are the even points (x + y even), columns the odd ones, and an
+    edge's entry is its sign: horizontal edges weigh +1, and a vertical
+    edge in column x weighs -1 iff x is odd.  A unit square's two vertical
+    edges lie in the adjacent columns x and x + 1, exactly one of them
+    odd, so every unit square has exactly one -1 edge and its signs
+    multiply to -1: Kasteleyn's condition for a face of length 4.  When
+    every bounded face is a unit square, all perfect matchings add the
+    same sign to the determinant, so |det| is the count.  Points are
+    ordered along the wider bounding-box axis, which bands the matrix to
+    about the narrower side, and the elimination's fill stays in the band.
     """
-    if not unit_square_faces_only(g):
+    if not fkt_supported(g):
         raise UnsupportedEmbeddingError("a bounded face is not a unit square")
     evens = [p for p in g.vertices if (p[0] + p[1]) % 2 == 0]
     odds = [p for p in g.vertices if (p[0] + p[1]) % 2 == 1]
     if len(evens) != len(odds):
         return 0
-    if not evens:
-        return 1
-    row = {p: i for i, p in enumerate(evens)}
-    col = {p: i for i, p in enumerate(odds)}
-    rows = [[(0, 0)] * len(odds) for _ in evens]
+    xs, ys = {x for x, _ in g.vertices}, {y for _, y in g.vertices}
+    key = (lambda p: p[::-1]) if ys and max(ys) - min(ys) > max(xs) - min(xs) else None
+    row = {p: i for i, p in enumerate(sorted(evens, key=key))}
+    col = {p: i for i, p in enumerate(sorted(odds, key=key))}
+    rows: list[dict[int, int]] = [{} for _ in evens]
     for p, q in g.point_pairs():
         if p not in row:
             p, q = q, p
-        rows[row[p]][col[q]] = (1, 0) if p[1] == q[1] else (0, 1)
-    a, b = _det_gaussian(rows)
-    m2 = a * a + b * b
-    m = isqrt(m2)
-    if m * m != m2:
-        raise CountMismatchError("determinant modulus is not an integer")
-    return m
-
-
-def fkt_supported(g: EmbeddedGraph) -> bool:
-    """Whether count_fkt accepts this embedding."""
-    return unit_square_faces_only(g)
+        rows[row[p]][col[q]] = -1 if p[1] != q[1] and p[0] % 2 else 1
+    return _abs_det(rows)
 
 
 _DISPATCH = {

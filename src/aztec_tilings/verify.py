@@ -275,18 +275,18 @@ SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(name: str, max_order: int = 12, max_n: int | None = None) -> SuiteReport:
-    """Run one named suite with its bound (max_order for theorem1, max_n otherwise).
+    """Run one named suite with its bound: max_order for theorem1, max_n where read.
 
-    A suite that reads max_n keeps its own default when max_n is None or 0.
+    A suite that reads max_n keeps its default for None or 0; others reject max_n.
     """
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}")
     suite, bound = _SUITES[name]
+    if max_n is not None and bound != "max_n":
+        raise ValueError(f"suite {name!r} takes no max_n bound")
     if bound == "max_order":
         return suite(max_order=max_order)
-    if bound == "max_n" and max_n:
-        return suite(max_n=max_n)
-    return suite()
+    return suite(max_n=max_n) if max_n else suite()
 
 
 def run_all(max_order: int = 12) -> list[SuiteReport]:

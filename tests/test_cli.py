@@ -109,6 +109,23 @@ def test_verify_suite_exit_code_and_format():
     assert csv.stdout.splitlines()[0] == "suite,case,expected,actual,ok"
 
 
+def test_verify_rejects_max_n_for_a_suite_without_it():
+    proc = run_cli("verify", "lemma4", "--max-n", "1")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "max_n" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_bench_streams_rows_measured_before_a_failure():
+    proc = run_cli("bench", "--families", "r", "--orders", "4", "--engines", "profile_dp,guess")
+    assert proc.returncode == 2
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "instance,engine,vertices,ms,digits"
+    assert lines[1].startswith("r(4),profile_dp,")
+    assert len(lines) == 2
+
+
 def test_bench_reports_and_agrees():
     proc = run_cli(
         "bench", "--families", "r,ka", "--orders", "4:6",

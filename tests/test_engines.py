@@ -1,10 +1,12 @@
+import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from aztec_tilings.engines import (
+    _abs_det,
     count,
     count_brute,
     count_fkt,
@@ -12,11 +14,12 @@ from aztec_tilings.engines import (
     fkt_supported,
 )
 from aztec_tilings.errors import CountMismatchError, TooLargeError, UnsupportedEmbeddingError
-from aztec_tilings.formulas import aztec_diamond_value
-from aztec_tilings.grids import EmbeddedGraph, dual_graph
+from aztec_tilings.formulas import aztec_diamond_value, theorem1_value
+from aztec_tilings.grids import LATTICE_SYMMETRIES, EmbeddedGraph, dual_graph
 from aztec_tilings.regions import (
     KLEIN_NONABUT,
     PINWHEEL,
+    QUARTER_KINDS,
     build_aztec_diamond,
     build_holey_ar,
     build_quartered,
@@ -82,9 +85,91 @@ def test_fkt_imbalanced_returns_zero():
     assert count_fkt(path) == 0
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", [*range(1, 7), 16, 24])
 def test_fkt_matches_diamond_formula(n):
     assert count_fkt(dual_graph(build_aztec_diamond(n))) == aztec_diamond_value(n)
+
+
+@pytest.mark.parametrize("kind", QUARTER_KINDS)
+def test_fkt_matches_quarter_formula_past_the_sweep(kind):
+    assert count_fkt(dual_graph(build_quartered(32, kind))) == theorem1_value(kind, 32)
+
+
+def test_fkt_balanced_without_perfect_matching_returns_zero():
+    # 4 even and 4 odd points, but the even (0, 0) and (2, 0) both need the odd (1, 0)
+    pairs = [((0, 0), (1, 0)), ((1, 0), (2, 0)), ((1, 0), (1, 1)), ((1, 1), (2, 1)),
+             ((1, 1), (1, 2)), ((2, 1), (2, 2)), ((1, 2), (2, 2)), ((2, 2), (3, 2))]
+    g = EmbeddedGraph.from_points({p for pq in pairs for p in pq}, pairs)
+    assert fkt_supported(g)
+    assert count_brute(g) == 0
+    assert count_fkt(g) == 0
+    two_paths = EmbeddedGraph.from_points([(0, 0), (1, 0), (2, 0), (5, 0), (6, 0), (7, 0)])
+    assert count_fkt(two_paths) == 0
+
+
+def test_fkt_pivots_on_a_later_row():
+    # The first odd point (0, 1) is adjacent only to the second even point (0, 2),
+    # so column 0 of the matrix has no entry in row 0.
+    dominoes = EmbeddedGraph.from_points(
+        [(0, 0), (1, 0), (0, 1), (0, 2)], [((0, 0), (1, 0)), ((0, 1), (0, 2))]
+    )
+    assert count_fkt(dominoes) == 1
+    with_square = EmbeddedGraph.from_points(
+        [(0, 0), (1, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 1), (2, 2)],
+        [((0, 0), (1, 0)), ((0, 1), (0, 2)), ((1, 1), (1, 2)), ((1, 1), (2, 1)),
+         ((1, 2), (2, 2)), ((2, 1), (2, 2))],
+    )
+    assert count_fkt(with_square) == count_brute(with_square) == 2
+
+
+def _leibniz_det(m):
+    n = len(m)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = -1 if inversions % 2 else 1
+        for i in range(n):
+            term *= m[i][perm[i]]
+        total += term
+    return total
+
+
+def test_abs_det_matches_leibniz_on_sparse_matrices():
+    # zero leading entries force later pivot rows; small entries make cancellations
+    rng = random.Random(90125)
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        m = [[rng.choice((0, 0, 0, 1, -1, 2, -3)) for _ in range(n)] for _ in range(n)]
+        rows = [{j: v for j, v in enumerate(r) if v} for r in m]
+        assert _abs_det(rows) == abs(_leibniz_det(m))
+
+
+# Unit squares inside [0, 4] x [0, 4], plus extra unit steps that may hang off them.
+square_sets = st.frozensets(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=16)
+extra_steps = st.frozensets(
+    st.tuples(st.integers(0, 4), st.integers(0, 4), st.booleans()), max_size=6
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(square_sets, extra_steps, st.integers(0, 7), st.integers(-9, 0), st.integers(-9, 0))
+def test_fkt_matches_profile_dp_on_placed_unit_square_graphs(squares, steps, k, dx, dy):
+    # Every placement moves columns to negative and odd x, which the sign rule must survive.
+    def place(x, y):
+        u, v = LATTICE_SYMMETRIES[k](x, y)
+        return (u + dx, v + dy)
+
+    pairs = set()
+    for i, j in squares:
+        corners = [place(i, j), place(i + 1, j), place(i + 1, j + 1), place(i, j + 1)]
+        pairs |= set(zip(corners, corners[1:] + corners[:1]))
+    for i, j, horizontal in steps:
+        pairs.add((place(i, j), place(i + 1, j) if horizontal else place(i, j + 1)))
+    g = EmbeddedGraph.from_points({p for pq in pairs for p in pq}, pairs)
+    assume(fkt_supported(g))
+    counted = count_fkt(g)
+    assert type(counted) is int
+    assert counted == count_profile_dp(g)
 
 
 @settings(max_examples=150, deadline=None)

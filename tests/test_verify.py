@@ -50,13 +50,18 @@ def test_verify_all_json_is_pinned():
         ("lemma6", {"max_n": 3}, 3),
         ("lemma6", {"max_n": None}, 50),
         ("lemma1", {"max_n": 1}, 4),
-        ("lemma4", {"max_n": 1}, 81),  # lemma4 has no max_n bound
     ],
 )
 def test_run_suite_passes_each_suite_its_bound(name, bounds, cases):
     report = verify.run_suite(name, **bounds)
     assert report.suite == name
     assert len(report.cases) == cases
+
+
+@pytest.mark.parametrize("name", ["lemma4", "lemma5", "engines", "theorem1"])
+def test_run_suite_rejects_max_n_it_does_not_read(name):
+    with pytest.raises(ValueError, match="max_n"):
+        verify.run_suite(name, max_n=1)
 
 
 def test_combined_json_shape():
