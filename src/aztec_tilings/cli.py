@@ -135,6 +135,9 @@ def cmd_bench(args) -> int:
     families = args.families.split(",")
     for family in families:
         _need(family in _REGION_FAMILIES, f"unknown bench family {family!r}")
+    engine_names = args.engines.split(",")
+    for engine in engine_names:
+        _need(engine in engines.ENGINE_CHOICES, f"unknown bench engine {engine!r}")
     orders = _parse_orders(args.orders)
     print("instance,engine,vertices,ms,digits", flush=True)
     for family in families:
@@ -144,7 +147,7 @@ def cmd_bench(args) -> int:
             else:
                 g = dual_graph(build_quartered(order, _KIND_BY_FAMILY[family]))
             results = {}
-            for engine in args.engines.split(","):
+            for engine in engine_names:
                 best_ms = None
                 for _ in range(args.reps):
                     t0 = time.perf_counter()

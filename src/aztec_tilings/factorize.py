@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .engines import count
 from .errors import FactorizationError
-from .grids import EmbeddedGraph, Point, connected_components, unit_neighbors
+from .grids import EmbeddedGraph, Point, induced_subgraph
 
 SLOPE_UP = 1
 SLOPE_DOWN = -1
@@ -117,51 +117,26 @@ def find_diagonal_axis(g: EmbeddedGraph) -> DiagonalAxis | None:
 
 
 def apply_factorization(g: EmbeddedGraph, axis: DiagonalAxis) -> FactorizationResult:
-    """Cut g along the axis and return the upper and lower halves."""
+    """Cut g along the axis and return the upper and lower halves.
+
+    A unit step changes the diagonal value by exactly 1, so no edge joins
+    the two sides and no two on-axis vertices are adjacent.  The cut
+    therefore leaves G+ as g induced on the upper side plus the 1st, 3rd,
+    ... on-axis vertex, and G- as g induced on the rest.
+    """
     check = _axis_if_valid(g, axis.slope)
     if check is None or check != axis:
         raise FactorizationError("axis is not a valid symmetry axis for this graph")
-
-    def above(p: Point) -> bool:
-        return _diag_value(axis.slope, p) > axis.offset
-
-    pts = set(g.vertices)
-    pairs = g.edge_set()
-    for idx, v in enumerate(axis.on_axis):
-        keep_above = idx % 2 == 0
-        for q in unit_neighbors(v):
-            if q in pts and above(q) != keep_above:
-                pairs.discard((min(v, q), max(v, q)))
-    residual = EmbeddedGraph.from_points(g.vertices, pairs)
-
-    plus_pts: set[Point] = set()
-    minus_pts: set[Point] = set()
-    axis_rank = {v: idx for idx, v in enumerate(axis.on_axis)}
-    for comp in connected_components(residual):
-        sides = {above(p) for p in comp if p not in axis_rank}
-        if sides == {True}:
-            plus_pts |= comp
-        elif sides == {False}:
-            minus_pts |= comp
-        elif not sides:
-            # a stranded on-axis vertex follows the side it kept
-            v = next(iter(comp))
-            (plus_pts if axis_rank[v] % 2 == 0 else minus_pts).add(v)
-        else:
-            raise FactorizationError("cut left a component touching both sides")
-
-    def restrict(keep: set[Point]) -> EmbeddedGraph:
-        kept = [(p, q) for p, q in pairs if p in keep and q in keep]
-        return EmbeddedGraph.from_points(keep, kept)
-
+    plus_pts = {p for p in g.vertices if _diag_value(axis.slope, p) > axis.offset}
+    plus_pts.update(axis.on_axis[::2])
     return FactorizationResult(
-        g_plus=restrict(plus_pts),
-        g_minus=restrict(minus_pts),
-        w=len(axis.on_axis) // 2,
+        g_plus=induced_subgraph(g, plus_pts),
+        g_minus=induced_subgraph(g, set(g.vertices) - plus_pts),
+        w=axis.w,
     )
 
 
-def verify_factorization(g: EmbeddedGraph, engine: str = "auto") -> FactorizationReport:
+def verify_factorization(g: EmbeddedGraph) -> FactorizationReport:
     """Count the whole and both halves independently and check the identity."""
     axis = find_diagonal_axis(g)
     if axis is None:
@@ -170,7 +145,7 @@ def verify_factorization(g: EmbeddedGraph, engine: str = "auto") -> Factorizatio
     return FactorizationReport(
         axis=axis,
         w=result.w,
-        m_g=count(g, engine),
-        m_plus=count(result.g_plus, engine),
-        m_minus=count(result.g_minus, engine),
+        m_g=count(g),
+        m_plus=count(result.g_plus),
+        m_minus=count(result.g_minus),
     )

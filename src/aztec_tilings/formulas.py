@@ -9,16 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import CountMismatchError, InvalidHolesError, InvalidOrderError
-from .grids import dual_graph
-from .regions import (
-    KLEIN_ABUT,
-    KLEIN_NONABUT,
-    PINWHEEL,
-    build_quartered,
-    set_A,
-    set_B,
-)
-from . import engines
+from .regions import KLEIN_ABUT, KLEIN_NONABUT, PINWHEEL, check_index_set, set_A, set_B
 
 
 def _as_int(value: Fraction) -> int:
@@ -83,21 +74,14 @@ def _position_product(a: tuple[int, ...]) -> Fraction:
 
 def lemma4_value(m: int, n: int, a: tuple[int, ...]) -> int:
     """Matching count of the rectangle graph keeping bottom positions a."""
-    _check_positions(a, m, n)
+    check_index_set(a, m, n)
     return _as_int(2 ** (m * (m + 1) // 2) * _position_product(a))
 
 
 def lemma5_value(m: int, n: int, a: tuple[int, ...]) -> int:
     """Matching count of the bottomless rectangle graph with holes at a."""
-    _check_positions(a, m, n + 1)
+    check_index_set(a, m, n + 1)
     return _as_int(2 ** (m * (m - 1) // 2) * _position_product(a))
-
-
-def _check_positions(a: tuple[int, ...], size: int, width: int) -> None:
-    if list(a) != sorted(set(a)) or len(a) != size:
-        raise InvalidHolesError(f"need {size} strictly ascending positions, got {a}")
-    if a and not (1 <= a[0] and a[-1] <= width):
-        raise InvalidHolesError(f"positions {a} outside 1..{width}")
 
 
 def delta(s: tuple[int, ...]) -> int:
@@ -129,33 +113,3 @@ def lemma6_rhs(n: int) -> Fraction:
 
 def lemma6_check(n: int) -> bool:
     return lemma6_lhs(n) == lemma6_rhs(n)
-
-
-# The four doubling recurrences: left order, right order, both as functions
-# of the recurrence index n, within one quartered family pair.
-_LEMMA1 = {
-    "eq7": (PINWHEEL, lambda n: 4 * n, PINWHEEL, lambda n: 4 * n - 1),
-    "eq8": (KLEIN_NONABUT, lambda n: 4 * n + 1, KLEIN_NONABUT, lambda n: 4 * n),
-    "eq9": (KLEIN_NONABUT, lambda n: 4 * n, KLEIN_ABUT, lambda n: 4 * n - 1),
-    "eq10": (KLEIN_ABUT, lambda n: 4 * n - 2, KLEIN_NONABUT, lambda n: 4 * n - 3),
-}
-
-LEMMA1_IDS = tuple(_LEMMA1)
-
-
-def lemma1_sides(which: str, n: int, engine: str = "auto") -> tuple[int, int]:
-    """Counted left side and 2^n-scaled counted right side of a recurrence."""
-    if which not in _LEMMA1:
-        raise ValueError(f"unknown recurrence {which!r}")
-    if n < 1:
-        raise InvalidOrderError(f"n must be >= 1, got {n}")
-    kind_l, ord_l, kind_r, ord_r = _LEMMA1[which]
-    lhs = engines.count(dual_graph(build_quartered(ord_l(n), kind_l)), engine)
-    rhs = engines.count(dual_graph(build_quartered(ord_r(n), kind_r)), engine)
-    return lhs, (1 << n) * rhs
-
-
-def lemma1_check(which: str, n: int, engine: str = "auto") -> bool:
-    """Verify one doubling recurrence by counting both sides."""
-    lhs, scaled = lemma1_sides(which, n, engine)
-    return lhs == scaled

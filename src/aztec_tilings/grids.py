@@ -3,11 +3,12 @@
 Vertices live at integer plane points and every edge joins two points at
 L1 distance exactly 1, so a graph is fully described by its vertex list
 and an explicit edge set (edges may be a strict subset of the adjacent
-pairs, e.g. after a symmetry cut).
+pairs, e.g. in a graph read from JSON).
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Iterable, Optional, TYPE_CHECKING
 
@@ -28,12 +29,6 @@ LATTICE_SYMMETRIES = (
     lambda x, y: (y, x),
     lambda x, y: (-y, -x),
 )
-
-
-def unit_neighbors(p: Point) -> tuple[Point, ...]:
-    """The four lattice points at L1 distance 1 from p."""
-    x, y = p
-    return ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1))
 
 
 @dataclass(frozen=True)
@@ -104,14 +99,12 @@ class EmbeddedGraph:
         """
         return set(self.point_pairs())
 
-    def adjacency(self) -> dict[Point, list[Point]]:
-        """Point-keyed adjacency lists, neighbor lists sorted."""
-        adj: dict[Point, list[Point]] = {p: [] for p in self.vertices}
+    def adjacency(self) -> dict[Point, set[Point]]:
+        """Point-keyed neighbor sets, keys in vertex order."""
+        adj: dict[Point, set[Point]] = {p: set() for p in self.vertices}
         for p, q in self.point_pairs():
-            adj[p].append(q)
-            adj[q].append(p)
-        for p in adj:
-            adj[p].sort()
+            adj[p].add(q)
+            adj[q].add(p)
         return adj
 
     def to_json_dict(self) -> dict:
@@ -153,36 +146,35 @@ def reduce_forced(g: EmbeddedGraph) -> ReductionReport:
 
     A degree-1 vertex forces its unique edge into every perfect matching,
     so both endpoints can be dropped without changing the count.  A
-    degree-0 vertex can never be matched, so the count is zero.
+    degree-0 vertex can never be matched, so the count is zero.  The
+    smallest pendant vertex is forced first, and reduction stops as soon
+    as a vertex is left isolated.
     """
-    adj = {p: set(ns) for p, ns in g.adjacency().items()}
+    adj = g.adjacency()
     forced: list[PointPair] = []
-    while True:
-        lonely = None
-        pendant = None
-        for p in sorted(adj):
-            d = len(adj[p])
-            if d == 0:
-                lonely = p
-                break
-            if d == 1 and pendant is None:
-                pendant = p
-        if lonely is not None:
-            return ReductionReport(_subgraph(g, set(adj)), tuple(forced), True)
-        if pendant is None:
-            return ReductionReport(_subgraph(g, set(adj)), tuple(forced), False)
-        partner = next(iter(adj[pendant]))
+    infeasible = any(not ns for ns in adj.values())
+    # Degrees only fall, and reaching 0 ends the loop, so every queued
+    # vertex still in adj has degree exactly 1.
+    pendants = [p for p, ns in adj.items() if len(ns) == 1]
+    heapq.heapify(pendants)
+    while pendants and not infeasible:
+        pendant = heapq.heappop(pendants)
+        if pendant not in adj:
+            continue
+        (partner,) = adj.pop(pendant)
         forced.append((pendant, partner))
-        for gone in (pendant, partner):
-            for q in adj[gone]:
-                adj[q].discard(gone)
-        for q in adj[pendant] - {partner}:
-            adj[q].discard(pendant)
-        del adj[pendant]
-        del adj[partner]
+        for q in adj.pop(partner) - {pendant}:
+            ns = adj[q]
+            ns.discard(partner)
+            if not ns:
+                infeasible = True
+            elif len(ns) == 1:
+                heapq.heappush(pendants, q)
+    return ReductionReport(induced_subgraph(g, set(adj)), tuple(forced), infeasible)
 
 
-def _subgraph(g: EmbeddedGraph, keep: set[Point]) -> EmbeddedGraph:
+def induced_subgraph(g: EmbeddedGraph, keep: set[Point]) -> EmbeddedGraph:
+    """The points in keep with every edge of g between two of them."""
     pairs = [(p, q) for p, q in g.point_pairs() if p in keep and q in keep]
     return EmbeddedGraph.from_points(keep, pairs)
 

@@ -170,7 +170,8 @@ def build_aztec_rectangle(m: int, n: int) -> EmbeddedGraph:
     return EmbeddedGraph.from_points(_ar_points(m, n))
 
 
-def _check_index_set(values: tuple[int, ...], size: int, width: int) -> None:
+def check_index_set(values: tuple[int, ...], size: int, width: int) -> None:
+    """Require exactly size strictly ascending positions inside 1..width."""
     if list(values) != sorted(set(values)):
         raise InvalidHolesError(f"positions {values} are not strictly ascending")
     if len(values) != size:
@@ -184,7 +185,7 @@ def build_holey_ar(m: int, n: int, keep: Iterable[int]) -> EmbeddedGraph:
     _require_order(m)
     _require_order(n)
     kept = tuple(keep)
-    _check_index_set(kept, m, n)
+    check_index_set(kept, m, n)
     pts = _ar_points(m, n)
     row = bottom_row_points(n)
     for pos in range(1, n + 1):
@@ -198,7 +199,7 @@ def build_holey_ar_bar(m: int, n: int, remove: Iterable[int]) -> EmbeddedGraph:
     _require_order(m)
     _require_order(n)
     removed = tuple(remove)
-    _check_index_set(removed, m, n + 1)
+    check_index_set(removed, m, n + 1)
     pts = _ar_points(m, n)
     for p in bottom_row_points(n):
         pts.discard(p)

@@ -17,17 +17,9 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from . import engines
-from .errors import FactorizationError
+from .errors import FactorizationError, InvalidOrderError
 from .factorize import apply_factorization, find_diagonal_axis, verify_factorization
-from .formulas import (
-    LEMMA1_IDS,
-    lemma1_sides,
-    lemma4_value,
-    lemma5_value,
-    lemma6_lhs,
-    lemma6_rhs,
-    theorem1_value,
-)
+from .formulas import lemma4_value, lemma5_value, lemma6_lhs, lemma6_rhs, theorem1_value
 from .grids import EmbeddedGraph, dual_graph, isomorphic_embedded, reduce_forced
 from .regions import (
     KLEIN_ABUT,
@@ -123,6 +115,30 @@ def suite_theorem1(max_order: int = 12) -> Iterator[VerifyCase]:
         for kind in QUARTER_KINDS:
             counted = engines.count(dual_graph(build_quartered(order, kind)))
             yield _case(f"{kind}({order})", theorem1_value(kind, order), counted)
+
+
+# The four doubling recurrences: left order, right order, both as functions
+# of the recurrence index n, within one quartered family pair.
+_LEMMA1 = {
+    "eq7": (PINWHEEL, lambda n: 4 * n, PINWHEEL, lambda n: 4 * n - 1),
+    "eq8": (KLEIN_NONABUT, lambda n: 4 * n + 1, KLEIN_NONABUT, lambda n: 4 * n),
+    "eq9": (KLEIN_NONABUT, lambda n: 4 * n, KLEIN_ABUT, lambda n: 4 * n - 1),
+    "eq10": (KLEIN_ABUT, lambda n: 4 * n - 2, KLEIN_NONABUT, lambda n: 4 * n - 3),
+}
+
+LEMMA1_IDS = tuple(_LEMMA1)
+
+
+def lemma1_sides(which: str, n: int) -> tuple[int, int]:
+    """Counted left side and 2^n-scaled counted right side of a recurrence."""
+    if which not in _LEMMA1:
+        raise ValueError(f"unknown recurrence {which!r}")
+    if n < 1:
+        raise InvalidOrderError(f"n must be >= 1, got {n}")
+    kind_l, ord_l, kind_r, ord_r = _LEMMA1[which]
+    lhs = engines.count(dual_graph(build_quartered(ord_l(n), kind_l)))
+    rhs = engines.count(dual_graph(build_quartered(ord_r(n), kind_r)))
+    return lhs, (1 << n) * rhs
 
 
 @_suite("lemma1", bound="max_n")

@@ -22,9 +22,7 @@ from aztec_tilings.engines import (
 )
 from aztec_tilings.factorize import apply_factorization, find_diagonal_axis, verify_factorization
 from aztec_tilings.formulas import (
-    LEMMA1_IDS,
     aztec_diamond_value,
-    lemma1_sides,
     lemma4_value,
     lemma5_value,
     lemma6_lhs,
@@ -44,6 +42,7 @@ from aztec_tilings.regions import (
     set_A,
     set_B,
 )
+from aztec_tilings.verify import LEMMA1_IDS, lemma1_sides
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 

@@ -118,12 +118,24 @@ def test_verify_rejects_max_n_for_a_suite_without_it():
 
 
 def test_bench_streams_rows_measured_before_a_failure():
-    proc = run_cli("bench", "--families", "r", "--orders", "4", "--engines", "profile_dp,guess")
+    # r(9) has 45 vertices, past the brute-force size guard
+    proc = run_cli("bench", "--families", "r", "--orders", "4,9", "--engines", "profile_dp,brute")
     assert proc.returncode == 2
     lines = proc.stdout.splitlines()
     assert lines[0] == "instance,engine,vertices,ms,digits"
     assert lines[1].startswith("r(4),profile_dp,")
-    assert len(lines) == 2
+    assert lines[2].startswith("r(4),brute,")
+    assert lines[3].startswith("r(9),profile_dp,45,")
+    assert len(lines) == 4
+    assert "brute-force limit" in proc.stderr
+
+
+def test_bench_rejects_unknown_engine_before_measuring():
+    proc = run_cli("bench", "--families", "r", "--orders", "4", "--engines", "profile_dp,guess")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "guess" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_bench_reports_and_agrees():

@@ -8,7 +8,12 @@ from aztec_tilings.factorize import (
     find_diagonal_axis,
     verify_factorization,
 )
-from aztec_tilings.grids import EmbeddedGraph, dual_graph, isomorphic_embedded
+from aztec_tilings.grids import (
+    LATTICE_SYMMETRIES,
+    EmbeddedGraph,
+    dual_graph,
+    isomorphic_embedded,
+)
 from aztec_tilings.regions import (
     KLEIN_ABUT,
     KLEIN_NONABUT,
@@ -86,6 +91,30 @@ def test_halves_match_quartered_duals(name, builder, plus_kind, minus_kind, orde
     assert len(result.g_plus) + len(result.g_minus) == len(g)
     assert isomorphic_embedded(result.g_plus, dual_graph(build_quartered(order(n), plus_kind)))
     assert isomorphic_embedded(result.g_minus, dual_graph(build_quartered(order(n), minus_kind)))
+
+
+@pytest.mark.parametrize("k", range(len(LATTICE_SYMMETRIES)))
+@pytest.mark.parametrize("n", (1, 2, 3))
+@pytest.mark.parametrize("name,builder,plus_kind,minus_kind,order", SPLIT_TABLE)
+def test_halves_are_the_two_sides_of_the_axis(name, builder, plus_kind, minus_kind, order, n, k):
+    sym = LATTICE_SYMMETRIES[k]
+    base = builder(n)
+    g = EmbeddedGraph.from_points(
+        [sym(*p) for p in base.vertices],
+        [(sym(*p), sym(*q)) for p, q in base.point_pairs()],
+    )
+    axis = find_diagonal_axis(g)
+    result = apply_factorization(g, axis)
+    plus, minus = set(result.g_plus.vertices), set(result.g_minus.vertices)
+    assert plus | minus == set(g.vertices) and not plus & minus
+    for half, pts in ((result.g_plus, plus), (result.g_minus, minus)):
+        assert half.edge_set() == {(p, q) for p, q in g.edge_set() if p in pts and q in pts}
+
+    def diag(p):
+        return p[1] - p[0] if axis.slope == 1 else p[0] + p[1]
+
+    upper = {p for p in g.vertices if diag(p) > axis.offset}
+    assert plus == upper | set(axis.on_axis[::2])
 
 
 @pytest.mark.parametrize("n", (1, 2))

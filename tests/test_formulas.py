@@ -5,11 +5,8 @@ import pytest
 from aztec_tilings.engines import count
 from aztec_tilings.errors import InvalidHolesError, InvalidOrderError
 from aztec_tilings.formulas import (
-    LEMMA1_IDS,
     aztec_diamond_value,
     delta,
-    lemma1_check,
-    lemma1_sides,
     lemma4_value,
     lemma5_value,
     lemma6_check,
@@ -25,6 +22,7 @@ from aztec_tilings.regions import (
     QUARTER_KINDS,
     build_quartered,
 )
+from aztec_tilings.verify import LEMMA1_IDS, lemma1_sides
 
 # Closed-form values for small orders, frozen from brute-force counting of
 # the constructed regions.
@@ -140,7 +138,8 @@ def test_ratio_identity_up_to_50(n):
 @pytest.mark.parametrize("which", LEMMA1_IDS)
 @pytest.mark.parametrize("n", (1, 2))
 def test_doubling_recurrences(which, n):
-    assert lemma1_check(which, n)
+    lhs, scaled_rhs = lemma1_sides(which, n)
+    assert lhs == scaled_rhs
 
 
 @pytest.mark.parametrize("n", (1, 2))
@@ -167,6 +166,6 @@ def test_doubling_recurrence_examples():
     assert lemma1_sides("eq9", 1) == (6, 6)
     assert lemma1_sides("eq10", 1) == (2, 2)
     with pytest.raises(ValueError):
-        lemma1_check("eq99", 1)
+        lemma1_sides("eq99", 1)
     with pytest.raises(InvalidOrderError):
-        lemma1_check("eq7", 0)
+        lemma1_sides("eq7", 0)

@@ -106,6 +106,61 @@ def test_reduce_forced_preserves_matching_count(cells):
         assert count_brute(g) == count_brute(report.reduced)
 
 
+def rescan_reduce_forced(g):
+    """Reference: rescan every vertex in sorted order after each forcing."""
+    adj = {p: set() for p in g.vertices}
+    for p, q in g.point_pairs():
+        adj[p].add(q)
+        adj[q].add(p)
+    forced = []
+    while True:
+        lonely = None
+        pendant = None
+        for p in sorted(adj):
+            d = len(adj[p])
+            if d == 0:
+                lonely = p
+                break
+            if d == 1 and pendant is None:
+                pendant = p
+        if lonely is not None or pendant is None:
+            keep = set(adj)
+            pairs = [(p, q) for p, q in g.point_pairs() if p in keep and q in keep]
+            return EmbeddedGraph.from_points(keep, pairs), tuple(forced), lonely is not None
+        partner = next(iter(adj[pendant]))
+        forced.append((pendant, partner))
+        for gone in (pendant, partner):
+            for q in adj[gone]:
+                adj[q].discard(gone)
+        del adj[pendant]
+        del adj[partner]
+
+
+@st.composite
+def thinned_grid_graphs(draw):
+    """Rectangles with a few cells and a random share of edges dropped.
+
+    Dense enough that many pendants are forced in a row; the larger drop
+    rates leave some vertices isolated from the start or midway.
+    """
+    w, h = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    cells = {(x, y) for x in range(w) for y in range(h)}
+    holes = draw(st.frozensets(st.sampled_from(sorted(cells)), max_size=6))
+    g = EmbeddedGraph.from_points(cells - holes)
+    drop = draw(st.sampled_from((0.0, 0.05, 0.15, 0.3)))
+    rng = draw(st.randoms(use_true_random=False))
+    return EmbeddedGraph.from_points(
+        g.vertices, [pq for pq in g.point_pairs() if rng.random() >= drop]
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(thinned_grid_graphs())
+def test_reduce_forced_matches_the_rescan_reference(g):
+    report = reduce_forced(g)
+    assert (report.reduced, report.forced_pairs, report.infeasible) == rescan_reduce_forced(g)
+
+
 def test_imbalance_values():
     assert bipartite_imbalance(dual_graph(build_quartered(9, PINWHEEL))) in (1, -1)
     for n in range(1, 9):
