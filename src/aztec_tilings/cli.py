@@ -138,6 +138,7 @@ def cmd_bench(args) -> int:
     engine_names = args.engines.split(",")
     for engine in engine_names:
         _need(engine in engines.ENGINE_CHOICES, f"unknown bench engine {engine!r}")
+    _need(args.reps >= 1, f"--reps must be >= 1, got {args.reps}")
     orders = _parse_orders(args.orders)
     print("instance,engine,vertices,ms,digits", flush=True)
     for family in families:

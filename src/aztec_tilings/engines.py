@@ -2,8 +2,10 @@
 
 All engines return exact Python ints; no floating point enters any
 counting path.  `count_brute` is the definition-level oracle, the
-broken-profile sweep is the workhorse, and the determinant method is the
-structurally unrelated cross-check.
+determinant method counts every graph whose bounded faces are unit
+squares in polynomial time, and the broken-profile sweep, exponential
+only in the narrower side, counts the rest.  Each engine can recheck the
+others.
 """
 
 from __future__ import annotations
@@ -196,6 +198,11 @@ def count_fkt(g: EmbeddedGraph) -> int:
     """
     if not fkt_supported(g):
         raise UnsupportedEmbeddingError("a bounded face is not a unit square")
+    return _kasteleyn_count(g)
+
+
+def _kasteleyn_count(g: EmbeddedGraph) -> int:
+    # count_fkt without its face check, for callers that have just made it
     evens = [p for p in g.vertices if (p[0] + p[1]) % 2 == 0]
     odds = [p for p in g.vertices if (p[0] + p[1]) % 2 == 1]
     if len(evens) != len(odds):
@@ -222,15 +229,20 @@ _DISPATCH = {
 def count(g: EmbeddedGraph, engine: str = "auto", crosscheck: bool = False) -> int:
     """Front door: dispatch to an engine, optionally double-count and compare.
 
-    "auto" is the profile sweep.  Disagreement between engines raises
+    "auto" is the determinant when every bounded face is a unit square and
+    the profile sweep otherwise.  Disagreement between engines raises
     CountMismatchError, and a crosscheck no second engine can run raises
     UnsupportedEmbeddingError; neither is ever silently resolved.
     """
     if engine == "auto":
-        engine = "profile_dp"
-    if engine not in _DISPATCH:
+        if fkt_supported(g):
+            engine, result = "fkt", _kasteleyn_count(g)
+        else:
+            engine, result = "profile_dp", count_profile_dp(g)
+    elif engine in _DISPATCH:
+        result = _DISPATCH[engine](g)
+    else:
         raise ValueError(f"unknown engine {engine!r}")
-    result = _DISPATCH[engine](g)
     if crosscheck:
         name, value = _second_opinion(g, engine)
         _compare(result, value, engine, name)
@@ -238,17 +250,19 @@ def count(g: EmbeddedGraph, engine: str = "auto", crosscheck: bool = False) -> i
 
 
 def _second_opinion(g: EmbeddedGraph, engine: str) -> tuple[str, int]:
-    # The sweep rechecks the other engines; brute, else fkt, rechecks the sweep.
+    # Brute rechecks small graphs, the sweep rechecks the others, fkt the sweep.
+    if engine != "brute" and len(g.vertices) < AUTO_CROSSCHECK_BELOW:
+        return ("brute", count_brute(g))
     if engine != "profile_dp":
         return ("profile_dp", count_profile_dp(g))
-    if len(g.vertices) < AUTO_CROSSCHECK_BELOW:
-        return ("brute", count_brute(g))
-    if fkt_supported(g):
+    try:
         return ("fkt", count_fkt(g))
-    raise UnsupportedEmbeddingError(
-        f"no second engine can recheck profile_dp here: {len(g.vertices)} vertices "
-        f"(brute needs < {AUTO_CROSSCHECK_BELOW}) and a bounded face is not a unit square (fkt)"
-    )
+    except UnsupportedEmbeddingError:
+        raise UnsupportedEmbeddingError(
+            f"no second engine can recheck profile_dp here: {len(g.vertices)} vertices "
+            f"(brute needs < {AUTO_CROSSCHECK_BELOW}) and a bounded face is not a unit "
+            "square (fkt)"
+        ) from None
 
 
 def _compare(a: int, b: int, name_a: str, name_b: str) -> None:

@@ -294,9 +294,14 @@ def run_suite(name: str, max_order: int = 12, max_n: int | None = None) -> Suite
     """Run one named suite with its bound: max_order for theorem1, max_n where read.
 
     A suite that reads max_n keeps its default for None or 0; others reject max_n.
+    A bound that would run no case (max_order < 1, max_n < 0) is rejected.
     """
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}")
+    if max_order < 1:
+        raise ValueError(f"max_order must be >= 1, got {max_order}")
+    if max_n is not None and max_n < 0:
+        raise ValueError(f"max_n must be >= 0 (0 for the default), got {max_n}")
     suite, bound = _SUITES[name]
     if max_n is not None and bound != "max_n":
         raise ValueError(f"suite {name!r} takes no max_n bound")

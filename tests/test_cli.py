@@ -130,6 +130,30 @@ def test_bench_streams_rows_measured_before_a_failure():
     assert "brute-force limit" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (("theorem1", "--max-order", "0"), "max_order"),
+        (("all", "--max-order", "0"), "max_order"),
+        (("lemma2", "--max-n", "-1"), "max_n"),
+    ],
+)
+def test_verify_rejects_a_bound_with_no_cases(args, message):
+    proc = run_cli("verify", *args)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_bench_rejects_reps_below_one_before_measuring():
+    proc = run_cli("bench", "--families", "r", "--orders", "4", "--reps", "0")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "--reps" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_bench_rejects_unknown_engine_before_measuring():
     proc = run_cli("bench", "--families", "r", "--orders", "4", "--engines", "profile_dp,guess")
     assert proc.returncode == 2

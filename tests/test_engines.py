@@ -31,6 +31,11 @@ cells_6x6 = st.frozensets(
 
 FOUR_CYCLE = EmbeddedGraph.from_points([(0, 0), (1, 0), (0, 1), (1, 1)])
 
+# 34 vertices and two holes: too many for brute, and two faces fkt rejects
+TWO_HOLES = EmbeddedGraph.from_points(
+    [(i, j) for i in range(6) for j in range(6) if (i, j) not in ((1, 1), (3, 4))]
+)
+
 
 def test_brute_examples():
     assert count_brute(FOUR_CYCLE) == 2
@@ -223,17 +228,54 @@ def test_crosscheck_past_brute_limit_uses_fkt(monkeypatch):
     g = dual_graph(build_aztec_diamond(4))  # 40 vertices: too many for brute
     monkeypatch.setattr(eng, "count_fkt", lambda _: 99)
     with pytest.raises(CountMismatchError):
+        eng.count(g, engine="profile_dp", crosscheck=True)
+
+
+def test_auto_crosscheck_past_brute_limit_uses_profile_dp(monkeypatch):
+    from aztec_tilings import engines as eng
+
+    g = dual_graph(build_aztec_diamond(4))  # auto counts it by fkt
+    monkeypatch.setattr(eng, "count_profile_dp", lambda _: 99)
+    with pytest.raises(CountMismatchError):
         eng.count(g, engine="auto", crosscheck=True)
 
 
+def _refuse(name):
+    def refuse(_):
+        raise AssertionError(f"auto must not call {name} here")
+
+    return refuse
+
+
+def test_auto_counts_unit_square_graphs_by_fkt(monkeypatch):
+    from aztec_tilings import engines as eng
+
+    monkeypatch.setattr(eng, "count_profile_dp", _refuse("count_profile_dp"))
+    assert eng.count(dual_graph(build_aztec_diamond(16))) == aztec_diamond_value(16)
+
+
+def test_auto_counts_graphs_with_a_larger_face_by_profile_dp(monkeypatch):
+    from aztec_tilings import engines as eng
+
+    monkeypatch.setattr(eng, "count_fkt", _refuse("count_fkt"))
+    assert eng.count(TWO_HOLES) == 500
+
+
+def test_auto_face_checks_once(monkeypatch):
+    from aztec_tilings import engines as eng
+
+    calls = []
+    checked = eng.fkt_supported
+    monkeypatch.setattr(eng, "fkt_supported", lambda g: calls.append(g) or checked(g))
+    g = dual_graph(build_quartered(12, KLEIN_NONABUT))
+    assert eng.count(g) == theorem1_value(KLEIN_NONABUT, 12)
+    assert calls == [g]
+
+
 def test_crosscheck_without_second_engine_raises():
-    # 34 vertices and two holes, so neither brute nor fkt can recheck the sweep
-    holed = EmbeddedGraph.from_points(
-        [(i, j) for i in range(6) for j in range(6) if (i, j) not in ((1, 1), (3, 4))]
-    )
-    assert count(holed) == 500
+    assert count(TWO_HOLES) == 500
     with pytest.raises(UnsupportedEmbeddingError):
-        count(holed, crosscheck=True)
+        count(TWO_HOLES, crosscheck=True)
 
 
 def test_counts_are_deterministic():

@@ -49,6 +49,7 @@ def test_verify_all_json_is_pinned():
         ("theorem1", {"max_order": 2}, 6),
         ("lemma6", {"max_n": 3}, 3),
         ("lemma6", {"max_n": None}, 50),
+        ("lemma6", {"max_n": 0}, 50),
         ("lemma1", {"max_n": 1}, 4),
     ],
 )
@@ -56,6 +57,26 @@ def test_run_suite_passes_each_suite_its_bound(name, bounds, cases):
     report = verify.run_suite(name, **bounds)
     assert report.suite == name
     assert len(report.cases) == cases
+
+
+def test_theorem1_runs_past_the_sweep():
+    report = verify.run_suite("theorem1", max_order=32)
+    assert report.ok, report.pretty()
+    assert len(report.cases) == 96
+
+
+@pytest.mark.parametrize(
+    "name,bounds,message",
+    [
+        ("theorem1", {"max_order": 0}, "max_order"),
+        ("theorem1", {"max_order": -3}, "max_order"),
+        ("lemma2", {"max_n": -1}, "max_n"),
+        ("lemma6", {"max_n": -5}, "max_n"),
+    ],
+)
+def test_run_suite_rejects_a_bound_with_no_cases(name, bounds, message):
+    with pytest.raises(ValueError, match=message):
+        verify.run_suite(name, **bounds)
 
 
 @pytest.mark.parametrize("name", ["lemma4", "lemma5", "engines", "theorem1"])
