@@ -13,7 +13,6 @@ from .errors import (
     InvalidOrderError,
     InvalidPointError,
     TooLargeError,
-    UnsupportedEmbeddingError,
 )
 from .factorize import (
     DiagonalAxis,
@@ -75,7 +74,6 @@ __all__ = [
     "ReductionReport",
     "Region",
     "TooLargeError",
-    "UnsupportedEmbeddingError",
     "apply_factorization",
     "aztec_diamond_value",
     "bipartite_imbalance",

@@ -17,10 +17,6 @@ class TooLargeError(ValueError):
     """Instance exceeds an engine's explicit size guard."""
 
 
-class UnsupportedEmbeddingError(ValueError):
-    """Embedded graph has a bounded face that is not a unit square."""
-
-
 class FactorizationError(ValueError):
     """Axis is missing or not a valid symmetry axis for the graph."""
 

@@ -104,11 +104,12 @@ def lemma6_rhs(n: int) -> Fraction:
     """The equivalent double product over 1 <= i, j <= n."""
     if n < 1:
         raise InvalidOrderError(f"n must be >= 1, got {n}")
-    total = Fraction(1)
+    num = den = 1
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            total *= Fraction(2 * n + 1 + 2 * j - 2 * i, 2 * n - 1 + 2 * j - 2 * i)
-    return total
+            num *= 2 * n + 1 + 2 * j - 2 * i
+            den *= 2 * n - 1 + 2 * j - 2 * i
+    return Fraction(num, den)
 
 
 def lemma6_check(n: int) -> bool:

@@ -79,12 +79,6 @@ def test_invalid_input_exits_2():
     [
         ({"vertices": [[0, 0], [0, 1]], "edges": [[0, 5]]}, ()),
         ({"vertices": [[0, 0], [1, 0], [1, 1], [0, 1]], "edges": [[-1, 0], [0, 1]]}, ()),
-        # a valid region that no engine can recheck the sweep on: 34 cells, two holes
-        (
-            {"cells": [[i, j] for i in range(6) for j in range(6)
-                       if (i, j) not in ((1, 1), (3, 4))]},
-            ("--crosscheck",),
-        ),
     ],
 )
 def test_bad_graph_input_exits_2(payload, extra):
@@ -92,6 +86,14 @@ def test_bad_graph_input_exits_2(payload, extra):
     assert proc.returncode == 2
     assert proc.stderr.strip()
     assert "Traceback" not in proc.stderr
+
+
+def test_count_region_with_holes_crosschecks():
+    # 34 cells and two holes: past brute's crosscheck range, so the sweep rechecks the determinant
+    cells = [[i, j] for i in range(6) for j in range(6) if (i, j) not in ((1, 1), (3, 4))]
+    proc = run_cli("count", "--input", "-", "--crosscheck", stdin=json.dumps({"cells": cells}))
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "500"
 
 
 def test_verify_suite_exit_code_and_format():

@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aztec_tilings.engines import (
@@ -13,7 +13,7 @@ from aztec_tilings.engines import (
     count_profile_dp,
     fkt_supported,
 )
-from aztec_tilings.errors import CountMismatchError, TooLargeError, UnsupportedEmbeddingError
+from aztec_tilings.errors import CountMismatchError, TooLargeError
 from aztec_tilings.formulas import aztec_diamond_value, theorem1_value
 from aztec_tilings.grids import LATTICE_SYMMETRIES, EmbeddedGraph, dual_graph
 from aztec_tilings.regions import (
@@ -28,10 +28,12 @@ from aztec_tilings.regions import (
 cells_6x6 = st.frozensets(
     st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=36
 )
+GRID_6x6 = frozenset((i, j) for i in range(6) for j in range(6))
 
 FOUR_CYCLE = EmbeddedGraph.from_points([(0, 0), (1, 0), (0, 1), (1, 1)])
 
-# 34 vertices and two holes: too many for brute, and two faces fkt rejects
+# 34 vertices and two holes: past brute's crosscheck range, and two faces larger than a unit
+# square
 TWO_HOLES = EmbeddedGraph.from_points(
     [(i, j) for i in range(6) for j in range(6) if (i, j) not in ((1, 1), (3, 4))]
 )
@@ -64,10 +66,13 @@ def test_profile_dp_degenerate_cases():
     assert count_brute(no_edge) == 0
 
 
-def test_profile_dp_width_guard():
-    spine = [(0, y) for y in range(63)] + [(x, 0) for x in range(63)]
+def test_profile_dp_state_budget(monkeypatch):
+    from aztec_tilings import engines as eng
+
+    g = dual_graph(build_aztec_diamond(8))  # its sweep peaks at 8502 live states
+    monkeypatch.setattr(eng, "PROFILE_STATE_LIMIT", 1000)
     with pytest.raises(TooLargeError):
-        count_profile_dp(EmbeddedGraph.from_points(spine))
+        eng.count_profile_dp(g)
 
 
 def test_fkt_examples():
@@ -76,13 +81,23 @@ def test_fkt_examples():
     assert count_fkt(dual_graph(build_quartered(7, PINWHEEL))) == 20
 
 
-def test_fkt_rejects_large_face():
-    ring = EmbeddedGraph.from_points(
-        [(i, j) for i in range(3) for j in range(3) if (i, j) != (1, 1)]
-    )
+def _ring(lo, hi):
+    # boundary cells of the square [lo, hi) x [lo, hi)
+    return [(i, j) for i in range(lo, hi) for j in range(lo, hi)
+            if i in (lo, hi - 1) or j in (lo, hi - 1)]
+
+
+def test_fkt_counts_a_ring():
+    ring = EmbeddedGraph.from_points(_ring(0, 3))
     assert not fkt_supported(ring)
-    with pytest.raises(UnsupportedEmbeddingError):
-        count_fkt(ring)
+    assert count_fkt(ring) == count_brute(ring) == 2
+
+
+@pytest.mark.parametrize("centre", [[], [(3, 3)]])
+def test_fkt_counts_nested_rings(centre):
+    # a 3x3 ring inside the bounded face of a 7x7 ring, with no edge between them
+    g = EmbeddedGraph.from_points(_ring(0, 7) + _ring(2, 5) + centre)
+    assert count_fkt(g) == count_profile_dp(g) == count_brute(g) == (0 if centre else 4)
 
 
 def test_fkt_imbalanced_returns_zero():
@@ -149,29 +164,34 @@ def test_abs_det_matches_leibniz_on_sparse_matrices():
         assert _abs_det(rows) == abs(_leibniz_det(m))
 
 
-# Unit squares inside [0, 4] x [0, 4], plus extra unit steps that may hang off them.
-square_sets = st.frozensets(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=16)
+# The unit squares inside [0, 4] x [0, 4] but some left out, extra unit steps that may
+# hang off them, and points deleted with their edges, which opens faces larger than a square.
+missing_squares = st.frozensets(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=16)
 extra_steps = st.frozensets(
     st.tuples(st.integers(0, 4), st.integers(0, 4), st.booleans()), max_size=6
 )
+deleted_points = st.frozensets(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=3)
 
 
 @settings(max_examples=200, deadline=None)
-@given(square_sets, extra_steps, st.integers(0, 7), st.integers(-9, 0), st.integers(-9, 0))
-def test_fkt_matches_profile_dp_on_placed_unit_square_graphs(squares, steps, k, dx, dy):
+@given(missing_squares, extra_steps, deleted_points, st.integers(0, 7), st.integers(-9, 0),
+       st.integers(-9, 0))
+def test_fkt_matches_profile_dp_on_placed_unit_square_graphs(missing, steps, deleted, k, dx, dy):
     # Every placement moves columns to negative and odd x, which the sign rule must survive.
     def place(x, y):
         u, v = LATTICE_SYMMETRIES[k](x, y)
         return (u + dx, v + dy)
 
     pairs = set()
-    for i, j in squares:
-        corners = [place(i, j), place(i + 1, j), place(i + 1, j + 1), place(i, j + 1)]
-        pairs |= set(zip(corners, corners[1:] + corners[:1]))
+    for i, j in itertools.product(range(4), repeat=2):
+        if (i, j) not in missing:
+            corners = [place(i, j), place(i + 1, j), place(i + 1, j + 1), place(i, j + 1)]
+            pairs |= set(zip(corners, corners[1:] + corners[:1]))
     for i, j, horizontal in steps:
         pairs.add((place(i, j), place(i + 1, j) if horizontal else place(i, j + 1)))
+    gone = {place(i, j) for i, j in deleted}
+    pairs = {pq for pq in pairs if not gone & set(pq)}
     g = EmbeddedGraph.from_points({p for pq in pairs for p in pq}, pairs)
-    assume(fkt_supported(g))
     counted = count_fkt(g)
     assert type(counted) is int
     assert counted == count_profile_dp(g)
@@ -180,10 +200,11 @@ def test_fkt_matches_profile_dp_on_placed_unit_square_graphs(squares, steps, k, 
 @settings(max_examples=150, deadline=None)
 @given(cells_6x6)
 def test_engines_agree_on_random_subgraphs(cells):
-    g = EmbeddedGraph.from_points(cells)
-    reference = count_brute(g)
-    assert count_profile_dp(g) == reference
-    if fkt_supported(g):
+    # a small cell set leaves its complement with holes: faces larger than a unit square
+    for kept in (cells, GRID_6x6 - cells):
+        g = EmbeddedGraph.from_points(kept)
+        reference = count_brute(g)
+        assert count_profile_dp(g) == reference
         assert count_fkt(g) == reference
 
 
@@ -254,28 +275,25 @@ def test_auto_counts_unit_square_graphs_by_fkt(monkeypatch):
     assert eng.count(dual_graph(build_aztec_diamond(16))) == aztec_diamond_value(16)
 
 
-def test_auto_counts_graphs_with_a_larger_face_by_profile_dp(monkeypatch):
+def test_auto_counts_graphs_with_a_larger_face_by_fkt(monkeypatch):
     from aztec_tilings import engines as eng
 
-    monkeypatch.setattr(eng, "count_fkt", _refuse("count_fkt"))
+    monkeypatch.setattr(eng, "count_profile_dp", _refuse("count_profile_dp"))
     assert eng.count(TWO_HOLES) == 500
 
 
-def test_auto_face_checks_once(monkeypatch):
+def test_auto_makes_no_face_check(monkeypatch):
     from aztec_tilings import engines as eng
 
-    calls = []
-    checked = eng.fkt_supported
-    monkeypatch.setattr(eng, "fkt_supported", lambda g: calls.append(g) or checked(g))
+    monkeypatch.setattr(eng, "fkt_supported", _refuse("fkt_supported"))
     g = dual_graph(build_quartered(12, KLEIN_NONABUT))
     assert eng.count(g) == theorem1_value(KLEIN_NONABUT, 12)
-    assert calls == [g]
+    assert eng.count(TWO_HOLES, crosscheck=True) == 500
 
 
-def test_crosscheck_without_second_engine_raises():
-    assert count(TWO_HOLES) == 500
-    with pytest.raises(UnsupportedEmbeddingError):
-        count(TWO_HOLES, crosscheck=True)
+def test_graph_with_holes_crosschecks_both_ways():
+    assert count(TWO_HOLES, crosscheck=True) == 500
+    assert count(TWO_HOLES, engine="profile_dp", crosscheck=True) == 500
 
 
 def test_counts_are_deterministic():
