@@ -94,9 +94,11 @@ def _axis_if_valid(g: EmbeddedGraph, slope: int) -> DiagonalAxis | None:
     if any(_reflect(slope, offset, p) not in pts for p in pts):
         return None
     pairs = g.edge_set()
+    # A unit step's image under a slope +1 reflection keeps its smaller point
+    # first; under a slope -1 reflection the two points swap.
     for p, q in pairs:
-        image = tuple(sorted((_reflect(slope, offset, p), _reflect(slope, offset, q))))
-        if image not in pairs:
+        a, b = _reflect(slope, offset, p), _reflect(slope, offset, q)
+        if ((a, b) if slope == SLOPE_UP else (b, a)) not in pairs:
             return None
     on_axis = sorted(p for p in pts if _diag_value(slope, p) == offset)
     for a, b in zip(on_axis, on_axis[1:]):

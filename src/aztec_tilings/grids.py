@@ -210,8 +210,36 @@ def normalize(g: EmbeddedGraph) -> EmbeddedGraph:
 
 
 def isomorphic_embedded(g1: EmbeddedGraph, g2: EmbeddedGraph) -> bool:
-    """True iff some lattice symmetry plus translation maps g1 exactly onto g2."""
-    return normalize(g1) == normalize(g2)
+    """True iff some lattice symmetry plus translation maps g1 exactly onto g2.
+
+    The map is injective, so with equal vertex and edge counts, sending every
+    vertex and edge of g1 into g2 makes it a bijection: normalize(g1) == normalize(g2).
+    """
+    if len(g1.vertices) != len(g2.vertices) or len(g1.edges) != len(g2.edges):
+        return False
+    if not g1.vertices:
+        return True
+    points, pairs = set(g2.vertices), g2.edge_set()
+    # Vertices are sorted, so x runs from the first point to the last.
+    lo = (g1.vertices[0][0], min(y for _, y in g1.vertices))
+    hi = (g1.vertices[-1][0], max(y for _, y in g1.vertices))
+    corner = (g2.vertices[0][0], min(y for _, y in g2.vertices))
+    for sym in LATTICE_SYMMETRIES:
+        # A symmetry maps g1's bounding box to the box spanned by its moved corners.
+        a, b = sym(*lo), sym(*hi)
+        dx, dy = corner[0] - min(a[0], b[0]), corner[1] - min(a[1], b[1])
+        placed = []
+        for x, y in g1.vertices:
+            u, v = sym(x, y)
+            p = (u + dx, v + dy)
+            if p not in points:
+                break
+            placed.append(p)
+        else:
+            if all((placed[i], placed[j]) in pairs or (placed[j], placed[i]) in pairs
+                   for i, j in g1.edges):
+                return True
+    return False
 
 
 def connected_components(g: EmbeddedGraph) -> list[set[Point]]:

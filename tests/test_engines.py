@@ -208,6 +208,34 @@ def test_engines_agree_on_random_subgraphs(cells):
         assert count_fkt(g) == reference
 
 
+@st.composite
+def holey_rectangles(draw, width, height):
+    """A rectangle of cells inside [0, width) x [0, height) less a few: most have a tiling."""
+    w, h = draw(st.integers(1, width)), draw(st.integers(1, height))
+    cells = {(x, y) for x in range(w) for y in range(h)}
+    return cells - draw(st.frozensets(st.sampled_from(sorted(cells)), max_size=4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(holey_rectangles(6, 6), st.integers(0, 7), st.integers(-9, 9), st.integers(-9, 9))
+def test_count_is_unchanged_by_a_lattice_symmetry_and_translation(cells, k, dx, dy):
+    sym = LATTICE_SYMMETRIES[k]
+    moved = EmbeddedGraph.from_points((u + dx, v + dy) for u, v in (sym(*p) for p in cells))
+    assert count(moved) == count(EmbeddedGraph.from_points(cells))
+
+
+@settings(max_examples=150, deadline=None)
+@given(holey_rectangles(4, 5), holey_rectangles(4, 5), st.integers(0, 7), st.integers(-9, 9))
+def test_count_of_a_disjoint_union_is_the_product_of_the_parts(a, b, k, dy):
+    # b is moved by a symmetry into x >= 6, so no unit step joins it to a (x <= 3)
+    sym = LATTICE_SYMMETRIES[k]
+    b = {(u + 10, v + dy) for u, v in (sym(*p) for p in b)}
+    parts = count_brute(EmbeddedGraph.from_points(a)) * count_brute(EmbeddedGraph.from_points(b))
+    union = EmbeddedGraph.from_points(a | b)
+    assert count(union) == parts
+    assert count_brute(union) == parts
+
+
 def test_adding_an_edge_never_decreases_the_count():
     rng = random.Random(417)
     checked = 0

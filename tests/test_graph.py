@@ -206,6 +206,77 @@ def test_normalize_constant_on_symmetry_orbit(cells, k, dx, dy):
     assert normalize(normalize(g)) == normalize(g)
 
 
+BOARD_5x5 = frozenset((x, y) for x in range(5) for y in range(5))
+
+
+def placed(g, k, dx, dy):
+    """g moved by LATTICE_SYMMETRIES[k], then translated by (dx, dy)."""
+    move = {}
+    for p in g.vertices:
+        u, v = LATTICE_SYMMETRIES[k](*p)
+        move[p] = (u + dx, v + dy)
+    return EmbeddedGraph.from_points(move.values(), [(move[p], move[q]) for p, q in g.point_pairs()])
+
+
+@st.composite
+def graph_pairs(draw):
+    """(g, h, expected): expected is None where the pair may go either way.
+
+    The "moved" and "edges" pairs keep both counts equal, so only the
+    vertex and edge checks can tell them apart.
+    """
+    cells = draw(cells_5x5)
+    g = EmbeddedGraph.from_points(cells)
+    kind = draw(st.sampled_from(("placed", "moved", "edges", "mirror", "empty")))
+    if kind == "placed":
+        k, dx, dy = draw(st.integers(0, 7)), draw(st.integers(-9, 9)), draw(st.integers(-9, 9))
+        return g, placed(g, k, dx, dy), True
+    if kind == "moved":
+        # one cell moved to a free square of the board, the edge count kept
+        moves = [
+            h for h in (EmbeddedGraph.from_points(cells - {c} | {f})
+                        for c in sorted(cells) for f in sorted(BOARD_5x5 - cells))
+            if len(h.edges) == len(g.edges)
+        ]
+        return g, draw(st.sampled_from(moves)) if moves else g, None
+    if kind == "edges":
+        # the same points, each graph missing a different one of their unit steps
+        pairs = g.point_pairs()
+        if len(pairs) < 2:
+            return g, g, True
+        i, j = draw(st.lists(st.integers(0, len(pairs) - 1), min_size=2, max_size=2, unique=True))
+        return (EmbeddedGraph.from_points(g.vertices, pairs[:i] + pairs[i + 1:]),
+                EmbeddedGraph.from_points(g.vertices, pairs[:j] + pairs[j + 1:]), None)
+    if kind == "mirror":
+        return g, EmbeddedGraph.from_points((-x, y) for x, y in cells), True
+    empty = EmbeddedGraph.from_points([])
+    return empty, g, not g.vertices
+
+
+@settings(max_examples=400, deadline=None)
+@given(graph_pairs())
+def test_isomorphic_embedded_matches_canonical_forms(pair):
+    g, h, expected = pair
+    got = isomorphic_embedded(g, h)
+    assert got == (normalize(g) == normalize(h))
+    assert got == isomorphic_embedded(h, g)
+    if expected is not None:
+        assert got == expected
+
+
+def test_chiral_shape_is_isomorphic_to_its_mirror_image():
+    # an S tetromino with a tail: no rotation and translation maps it onto its mirror image
+    def at_origin(points):
+        ox, oy = min(x for x, _ in points), min(y for _, y in points)
+        return {(x - ox, y - oy) for x, y in points}
+
+    cells = [(0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (2, 3)]
+    mirror = EmbeddedGraph.from_points((-x, y) for x, y in cells)
+    for k in range(4):
+        assert at_origin([LATTICE_SYMMETRIES[k](*p) for p in cells]) != at_origin(mirror.vertices)
+    assert isomorphic_embedded(EmbeddedGraph.from_points(cells), mirror)
+
+
 def test_components_include_isolated_vertices():
     g = EmbeddedGraph.from_points([(0, 0), (1, 0), (9, 9)])
     comps = connected_components(g)
