@@ -31,10 +31,8 @@ def count_brute(g: EmbeddedGraph) -> int:
         return 1
     if n % 2:
         return 0
-    nbrs: list[list[int]] = [[] for _ in range(n)]
-    for u, v in g.edges:
-        nbrs[u].append(v)
-        nbrs[v].append(u)
+    index = {p: i for i, p in enumerate(g.vertices)}
+    nbrs = [[index[q] for q in ns] for ns in g.adjacency().values()]
     full = (1 << n) - 1
 
     def rec(covered: int) -> int:
@@ -65,7 +63,7 @@ def count_profile_dp(g: EmbeddedGraph) -> int:
     if not g.vertices:
         return 1
     pts = set(g.vertices)
-    edge_set = g.edge_set()
+    edge_set = set(g.edges)
     xs = [x for x, _ in pts]
     ys = [y for _, y in pts]
     width = max(xs) - min(xs) + 1
@@ -175,7 +173,7 @@ def fkt_supported(g: EmbeddedGraph) -> bool:
     vertices, E edges and C components has E - V + C bounded faces, and
     each fully-edged unit square is necessarily one of them.
     """
-    edge_set = g.edge_set()
+    edge_set = set(g.edges)
     squares = 0
     for (x, y) in g.vertices:
         if (
@@ -225,7 +223,7 @@ def count_fkt(g: EmbeddedGraph) -> int:
     for x, y in reversed(g.vertices):
         right[x, y] = seen[y] = seen.get(y, -1) + 1
     rows: list[dict[int, int]] = [{} for _ in evens]
-    for p, q in g.point_pairs():
+    for p, q in g.edges:
         # p is the smaller point, so the lower end of a vertical edge
         sign = -1 if p[0] == q[0] and right[p] % 2 else 1
         if p not in row:

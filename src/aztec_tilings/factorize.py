@@ -93,7 +93,7 @@ def _axis_if_valid(g: EmbeddedGraph, slope: int) -> DiagonalAxis | None:
     offset = total // 2
     if any(_reflect(slope, offset, p) not in pts for p in pts):
         return None
-    pairs = g.edge_set()
+    pairs = set(g.edges)
     # A unit step's image under a slope +1 reflection keeps its smaller point
     # first; under a slope -1 reflection the two points swap.
     for p, q in pairs:

@@ -33,27 +33,23 @@ LATTICE_SYMMETRIES = (
 
 @dataclass(frozen=True)
 class EmbeddedGraph:
-    """Immutable grid graph: sorted vertex points plus sorted index-pair edges."""
+    """Immutable grid graph: sorted vertex points plus sorted unit-step point pairs."""
 
     vertices: tuple[Point, ...]
-    edges: tuple[tuple[int, int], ...]
+    edges: tuple[PointPair, ...]
 
     def __post_init__(self) -> None:
-        if list(self.vertices) != sorted(set(self.vertices)):
+        vs, es = self.vertices, self.edges
+        if any(a >= b for a, b in zip(vs, vs[1:])):
             raise ValueError("vertices must be sorted and distinct")
-        n = len(self.vertices)
-        seen = set()
-        for u, v in self.edges:
-            if not (0 <= u < v < n):
-                raise ValueError(f"bad edge indices ({u}, {v})")
-            if (u, v) in seen:
-                raise ValueError(f"duplicate edge ({u}, {v})")
-            seen.add((u, v))
-            (x1, y1), (x2, y2) = self.vertices[u], self.vertices[v]
-            if abs(x1 - x2) + abs(y1 - y2) != 1:
-                raise ValueError(f"edge ({u}, {v}) is not a unit step")
-        if list(self.edges) != sorted(self.edges):
-            raise ValueError("edges must be sorted")
+        if any(a >= b for a, b in zip(es, es[1:])):
+            raise ValueError("edges must be sorted and distinct")
+        points = set(vs)
+        for p, q in es:
+            if p not in points or q not in points:
+                raise ValueError(f"edge endpoint {p}-{q} is not a vertex")
+            if (q[0] - p[0], q[1] - p[1]) not in ((1, 0), (0, 1)):
+                raise ValueError(f"edge {p}-{q} is not a unit step from its smaller point")
 
     @classmethod
     def from_points(
@@ -63,64 +59,61 @@ class EmbeddedGraph:
     ) -> "EmbeddedGraph":
         """Build a graph from points; with pairs=None, connect all unit neighbors."""
         vs = tuple(sorted(set((int(x), int(y)) for x, y in points)))
-        index = {p: i for i, p in enumerate(vs)}
+        # Edges hold the vertex tuples themselves, so they allocate no points of their own.
+        vertex = {p: p for p in vs}.get
         if pairs is None:
-            pset = set(vs)
-            es = set()
-            for (x, y) in vs:
-                for dx, dy in ((1, 0), (0, 1)):
-                    q = (x + dx, y + dy)
-                    if q in pset:
-                        es.add((index[(x, y)], index[q]))
+            es = [(p, q) for p in vs
+                  for q in (vertex((p[0], p[1] + 1)), vertex((p[0] + 1, p[1])))
+                  if q is not None]
         else:
             es = set()
-            for p, q in pairs:
-                p = (int(p[0]), int(p[1]))
-                q = (int(q[0]), int(q[1]))
-                if p not in index or q not in index:
-                    raise ValueError(f"edge endpoint {p}-{q} is not a vertex")
-                i, j = index[p], index[q]
-                es.add((min(i, j), max(i, j)))
+            for a, b in pairs:
+                p, q = vertex(tuple(a)), vertex(tuple(b))
+                if p is None or q is None:
+                    raise ValueError(f"edge endpoint {a}-{b} is not a vertex")
+                es.add((p, q) if p < q else (q, p))
         return cls(vertices=vs, edges=tuple(sorted(es)))
 
     def __len__(self) -> int:
         return len(self.vertices)
 
     def point_pairs(self) -> list[PointPair]:
-        """Edges as point pairs."""
-        return [(self.vertices[u], self.vertices[v]) for u, v in self.edges]
-
-    def edge_set(self) -> set[PointPair]:
-        """Edges as a set of point pairs, each with its smaller point first.
-
-        Vertices are sorted and every edge has u < v, so point_pairs() is
-        already in this form.  Not cached: a graph held for a long run
-        would otherwise keep its set alive.
-        """
-        return set(self.point_pairs())
+        """Edges as a list of point pairs."""
+        return list(self.edges)
 
     def adjacency(self) -> dict[Point, set[Point]]:
         """Point-keyed neighbor sets, keys in vertex order."""
         adj: dict[Point, set[Point]] = {p: set() for p in self.vertices}
-        for p, q in self.point_pairs():
+        for p, q in self.edges:
             adj[p].add(q)
             adj[q].add(p)
         return adj
 
     def to_json_dict(self) -> dict:
+        """Vertices as [x, y] lists, edges as [i, j] positions in that list."""
+        index = {p: i for i, p in enumerate(self.vertices)}
         return {
             "vertices": [list(p) for p in self.vertices],
-            "edges": [list(e) for e in self.edges],
+            "edges": [[index[p], index[q]] for p, q in self.edges],
         }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "EmbeddedGraph":
-        vs = [tuple(p) for p in data["vertices"]]
-        for u, v in data["edges"]:
-            if not (0 <= u < len(vs) and 0 <= v < len(vs)):
-                raise ValueError(f"edge ({u}, {v}) indexes outside 0..{len(vs) - 1}")
-        pairs = [(vs[u], vs[v]) for u, v in data["edges"]]
-        return cls.from_points(vs, pairs)
+        vs = json_int_pairs(data["vertices"], "vertex")
+        edges = json_int_pairs(data["edges"], "edge")
+        if not all(0 <= i < len(vs) for e in edges for i in e):
+            raise ValueError(f"an edge indexes outside 0..{len(vs) - 1}")
+        return cls.from_points(vs, [(vs[u], vs[v]) for u, v in edges])
+
+
+def json_int_pairs(items: list, what: str) -> list[tuple[int, int]]:
+    """Distinct JSON [a, b] lists of ints as tuples; ValueError otherwise, bools included."""
+    if not all(type(p) is list and len(p) == 2 and all(type(c) is int for c in p) for p in items):
+        raise ValueError(f"each {what} must be a list of two integers")
+    pairs = [tuple(p) for p in items]
+    if len(set(pairs)) != len(pairs):
+        raise ValueError(f"duplicate {what}")
+    return pairs
 
 
 @dataclass(frozen=True)
@@ -174,9 +167,11 @@ def reduce_forced(g: EmbeddedGraph) -> ReductionReport:
 
 
 def induced_subgraph(g: EmbeddedGraph, keep: set[Point]) -> EmbeddedGraph:
-    """The points in keep with every edge of g between two of them."""
-    pairs = [(p, q) for p, q in g.point_pairs() if p in keep and q in keep]
-    return EmbeddedGraph.from_points(keep, pairs)
+    """The vertices of g in keep with every edge of g between two of them."""
+    return EmbeddedGraph(
+        vertices=tuple(p for p in g.vertices if p in keep),
+        edges=tuple(e for e in g.edges if e[0] in keep and e[1] in keep),
+    )
 
 
 def bipartite_imbalance(g: EmbeddedGraph) -> int:
@@ -198,11 +193,10 @@ def normalize(g: EmbeddedGraph) -> EmbeddedGraph:
         oy = min(y for _, y in moved)
         shifted = {p: (q[0] - ox, q[1] - oy) for p, q in zip(g.vertices, moved)}
         vs = tuple(sorted(shifted.values()))
-        index = {p: i for i, p in enumerate(vs)}
         es = []
-        for p, q in g.point_pairs():
-            i, j = index[shifted[p]], index[shifted[q]]
-            es.append((min(i, j), max(i, j)))
+        for p, q in g.edges:
+            a, b = shifted[p], shifted[q]
+            es.append((a, b) if a < b else (b, a))
         key = (vs, tuple(sorted(es)))
         if best is None or key < best:
             best = key
@@ -219,7 +213,7 @@ def isomorphic_embedded(g1: EmbeddedGraph, g2: EmbeddedGraph) -> bool:
         return False
     if not g1.vertices:
         return True
-    points, pairs = set(g2.vertices), g2.edge_set()
+    points, pairs = set(g2.vertices), set(g2.edges)
     # Vertices are sorted, so x runs from the first point to the last.
     lo = (g1.vertices[0][0], min(y for _, y in g1.vertices))
     hi = (g1.vertices[-1][0], max(y for _, y in g1.vertices))
@@ -228,16 +222,16 @@ def isomorphic_embedded(g1: EmbeddedGraph, g2: EmbeddedGraph) -> bool:
         # A symmetry maps g1's bounding box to the box spanned by its moved corners.
         a, b = sym(*lo), sym(*hi)
         dx, dy = corner[0] - min(a[0], b[0]), corner[1] - min(a[1], b[1])
-        placed = []
-        for x, y in g1.vertices:
-            u, v = sym(x, y)
+        placed = {}
+        for point in g1.vertices:
+            u, v = sym(*point)
             p = (u + dx, v + dy)
             if p not in points:
                 break
-            placed.append(p)
+            placed[point] = p
         else:
-            if all((placed[i], placed[j]) in pairs or (placed[j], placed[i]) in pairs
-                   for i, j in g1.edges):
+            if all((placed[p], placed[q]) in pairs or (placed[q], placed[p]) in pairs
+                   for p, q in g1.edges):
                 return True
     return False
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import InvalidHolesError, InvalidOrderError, InvalidPointError
-from .grids import EmbeddedGraph, dual_graph, isomorphic_embedded
+from .grids import EmbeddedGraph, dual_graph, isomorphic_embedded, json_int_pairs
 
 Cell = tuple[int, int]
 
@@ -28,6 +28,11 @@ PINWHEEL = "pinwheel"
 KLEIN_ABUT = "klein_abut"
 KLEIN_NONABUT = "klein_nonabut"
 QUARTER_KINDS = (PINWHEEL, KLEIN_ABUT, KLEIN_NONABUT)
+
+# Largest order any builder accepts: above 4*64 + 3 = 259, the largest quarter an
+# order-64 replay of the lemmas needs.  On one core of a 2-core VM, ad(300) and its
+# dual build in about 1 s and 115 MB; ad(400) took 3.8 s and 321 MB.
+MAX_ORDER = 300
 
 
 @dataclass(frozen=True)
@@ -48,8 +53,8 @@ class Region:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Region":
-        cells = frozenset((int(i), int(j)) for i, j in data["cells"])
-        return cls(cells=cells, name=str(data.get("name", "")))
+        cells = json_int_pairs(data["cells"], "cell")
+        return cls(cells=frozenset(cells), name=str(data.get("name", "")))
 
 
 def _span(i: int) -> int:
@@ -210,5 +215,5 @@ def build_holey_ar_bar(m: int, n: int, remove: Iterable[int]) -> EmbeddedGraph:
 
 
 def _require_order(n: int) -> None:
-    if n < 1:
-        raise InvalidOrderError(f"order must be >= 1, got {n}")
+    if not 1 <= n <= MAX_ORDER:
+        raise InvalidOrderError(f"order must be in 1..{MAX_ORDER}, got {n}")

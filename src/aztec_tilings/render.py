@@ -67,7 +67,7 @@ def svg_graph(g: EmbeddedGraph) -> str:
         return ((p[0] - x0) * _SCALE + pad, (y1 - p[1]) * _SCALE + pad)
 
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}">']
-    for p, q in g.point_pairs():
+    for p, q in g.edges:
         (ax, ay), (bx, by) = pix(p), pix(q)
         parts.append(f'<line x1="{ax}" y1="{ay}" x2="{bx}" y2="{by}" stroke="#333"/>')
     for p in g.vertices:

@@ -24,6 +24,7 @@ from .grids import EmbeddedGraph, dual_graph, isomorphic_embedded, reduce_forced
 from .regions import (
     KLEIN_ABUT,
     KLEIN_NONABUT,
+    MAX_ORDER,
     PINWHEEL,
     QUARTER_KINDS,
     build_holey_ar,
@@ -294,12 +295,12 @@ def run_suite(name: str, max_order: int = 12, max_n: int | None = None) -> Suite
     """Run one named suite with its bound: max_order for theorem1, max_n where read.
 
     A suite that reads max_n keeps its default for None or 0; others reject max_n.
-    A bound that would run no case (max_order < 1, max_n < 0) is rejected.
+    A max_order outside 1..MAX_ORDER or a negative max_n is rejected up front.
     """
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}")
-    if max_order < 1:
-        raise ValueError(f"max_order must be >= 1, got {max_order}")
+    if not 1 <= max_order <= MAX_ORDER:
+        raise ValueError(f"max_order must be in 1..{MAX_ORDER}, got {max_order}")
     if max_n is not None and max_n < 0:
         raise ValueError(f"max_n must be >= 0 (0 for the default), got {max_n}")
     suite, bound = _SUITES[name]

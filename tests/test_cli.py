@@ -1,10 +1,14 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
+
+from aztec_tilings import regions
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -79,6 +83,16 @@ def test_invalid_input_exits_2():
     [
         ({"vertices": [[0, 0], [0, 1]], "edges": [[0, 5]]}, ()),
         ({"vertices": [[0, 0], [1, 0], [1, 1], [0, 1]], "edges": [[-1, 0], [0, 1]]}, ()),
+        # non-integer and boolean coordinates, once truncated or read as 1
+        ({"vertices": [[0, 0], [1.9, 0]], "edges": [[0, 1]]}, ()),
+        ({"cells": [[0, 0], [0.6, 0]]}, ()),
+        ({"vertices": [[0, 0], [True, 0]], "edges": [[0, 1]]}, ()),
+        ({"cells": [[0, 0], [0, True]]}, ()),
+        ({"vertices": [[0, 0], [1, 0]], "edges": [[0, True]]}, ()),
+        # duplicates, once merged
+        ({"vertices": [[0, 0], [0, 0], [1, 0]], "edges": [[0, 2]]}, ()),
+        ({"cells": [[0, 0], [0, 0], [1, 0]]}, ()),
+        ({"vertices": [[0, 0], [1, 0]], "edges": [[0, 1], [0, 1]]}, ()),
     ],
 )
 def test_bad_graph_input_exits_2(payload, extra):
@@ -86,6 +100,44 @@ def test_bad_graph_input_exits_2(payload, extra):
     assert proc.returncode == 2
     assert proc.stderr.strip()
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("count", "--family", "ad"),
+        ("gen", "kna"),
+        ("gen", "ar", "--m", "1"),
+        ("render", "--family", "r"),
+    ],
+)
+def test_order_past_the_limit_exits_2_before_building(args):
+    t0 = time.monotonic()
+    proc = run_cli(*args, "--n", str(regions.MAX_ORDER + 1))
+    assert time.monotonic() - t0 < 1.0
+    assert proc.returncode == 2
+    assert str(regions.MAX_ORDER) in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+# SHA-256 of `gen` output, pinned so that the JSON a family emits stays byte for byte the same.
+GEN_DIGESTS = [
+    (("ar", "--m", "4", "--n", "7"),
+     "aadcb86941bbb3b484434e388b228c8acb5cafa3617fdd645bacc4b69d7f7ba9"),
+    (("ar_holey", "--m", "3", "--n", "6", "--keep", "1,4,6"),
+     "f326214540b2d4259ad5f0bcc06e4b3274ca54e722d6689f5d6a793a068bb05e"),
+    (("ar_bar", "--m", "2", "--n", "5", "--remove", "1,4"),
+     "de5afae2212d3169e9c296b98341f0bff3d0bee11c95843b34d176db20403a87"),
+    (("ka", "--n", "10"),
+     "4a7247ba1cb773db2c6f51e0716b9f7c59940b7fce07f8b567238565a684b360"),
+]
+
+
+@pytest.mark.parametrize("args,digest", GEN_DIGESTS, ids=[a[0] for a, _ in GEN_DIGESTS])
+def test_gen_output_bytes_are_pinned(args, digest):
+    proc = run_cli("gen", *args)
+    assert proc.returncode == 0
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
 
 
 def test_count_region_with_holes_crosschecks():
@@ -137,6 +189,7 @@ def test_bench_streams_rows_measured_before_a_failure():
     [
         (("theorem1", "--max-order", "0"), "max_order"),
         (("all", "--max-order", "0"), "max_order"),
+        (("theorem1", "--max-order", "301"), "max_order"),  # MAX_ORDER + 1
         (("lemma2", "--max-n", "-1"), "max_n"),
     ],
 )

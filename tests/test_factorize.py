@@ -108,7 +108,7 @@ def test_halves_are_the_two_sides_of_the_axis(name, builder, plus_kind, minus_ki
     plus, minus = set(result.g_plus.vertices), set(result.g_minus.vertices)
     assert plus | minus == set(g.vertices) and not plus & minus
     for half, pts in ((result.g_plus, plus), (result.g_minus, minus)):
-        assert half.edge_set() == {(p, q) for p, q in g.edge_set() if p in pts and q in pts}
+        assert set(half.edges) == {(p, q) for p, q in g.edges if p in pts and q in pts}
 
     def diag(p):
         return p[1] - p[0] if axis.slope == 1 else p[0] + p[1]

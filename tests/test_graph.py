@@ -9,6 +9,7 @@ from aztec_tilings.grids import (
     bipartite_imbalance,
     connected_components,
     dual_graph,
+    induced_subgraph,
     isomorphic_embedded,
     normalize,
     reduce_forced,
@@ -50,8 +51,8 @@ def test_dual_of_empty_region():
 
 
 def test_graph_validation():
-    with pytest.raises(ValueError):
-        EmbeddedGraph(vertices=((0, 0), (2, 0)), edges=((0, 1),))
+    with pytest.raises(ValueError, match="unit step"):
+        EmbeddedGraph(vertices=((0, 0), (2, 0)), edges=(((0, 0), (2, 0)),))
     with pytest.raises(ValueError):
         EmbeddedGraph(vertices=((0, 0), (0, 0)), edges=())
     with pytest.raises(ValueError):
@@ -63,6 +64,30 @@ def test_graph_validation():
         EmbeddedGraph.from_json_dict(
             {"vertices": [[0, 0], [1, 0], [1, 1], [0, 1]], "edges": [[-1, 0], [0, 1]]}
         )
+
+
+SQUARE_POINTS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+@pytest.mark.parametrize(
+    "edges,message",
+    [
+        ((((0, 0), (1, 0)), ((0, 0), (0, 1))), "edges must be sorted and distinct"),
+        ((((0, 0), (0, 1)), ((0, 0), (0, 1))), "edges must be sorted and distinct"),
+        ((((0, 0), (0, 1)), ((1, 1), (1, 2))), "not a vertex"),
+        ((((0, 1), (0, 0)),), "smaller point"),
+    ],
+    ids=["unsorted", "duplicate", "endpoint_not_a_vertex", "larger_point_first"],
+)
+def test_graph_rejects_each_bad_edge_list(edges, message):
+    with pytest.raises(ValueError, match=message):
+        EmbeddedGraph(vertices=SQUARE_POINTS, edges=edges)
+
+
+def test_from_points_puts_the_vertex_tuples_into_the_edges():
+    for g in (square_at(0, 0), EmbeddedGraph.from_points(SQUARE_POINTS, [((1, 1), (0, 1))])):
+        ids = {id(p) for p in g.vertices}
+        assert g.edges and all(id(p) in ids for e in g.edges for p in e)
 
 
 def test_graph_json_round_trip():
@@ -281,3 +306,16 @@ def test_components_include_isolated_vertices():
     g = EmbeddedGraph.from_points([(0, 0), (1, 0), (9, 9)])
     comps = connected_components(g)
     assert sorted(len(c) for c in comps) == [1, 2]
+
+
+@settings(max_examples=300, deadline=None)
+@given(thinned_grid_graphs(), st.randoms(use_true_random=False))
+def test_point_pair_edges_match_the_index_pair_construction(g, rng):
+    keep = {p for p in g.vertices if rng.random() < 0.7}
+    pairs = [(p, q) for p, q in g.point_pairs() if p in keep and q in keep]
+    assert induced_subgraph(g, keep) == EmbeddedGraph.from_points(keep, pairs)
+    data = g.to_json_dict()
+    assert EmbeddedGraph.from_json_dict(data) == g
+    index = {p: i for i, p in enumerate(g.vertices)}
+    assert data["edges"] == sorted([index[p], index[q]] for p, q in g.edges)
+    assert all(i < j for i, j in data["edges"])

@@ -10,6 +10,7 @@ from aztec_tilings.engines import count_brute
 from aztec_tilings.regions import (
     KLEIN_ABUT,
     KLEIN_NONABUT,
+    MAX_ORDER,
     PINWHEEL,
     QUARTER_KINDS,
     Region,
@@ -51,6 +52,15 @@ def test_diamond_size_and_rotational_symmetry(n):
 def test_diamond_rejects_bad_order():
     with pytest.raises(InvalidOrderError):
         build_aztec_diamond(0)
+
+
+def test_orders_stop_at_the_limit():
+    # set_A checks its order like every builder, without building anything
+    assert len(set_A(MAX_ORDER)) == 2 * MAX_ORDER
+    for build in (set_A, build_aztec_diamond, lambda n: build_quartered(n, PINWHEEL),
+                  lambda n: build_aztec_rectangle(1, n), lambda n: build_aztec_rectangle(n, 1)):
+        with pytest.raises(InvalidOrderError, match=str(MAX_ORDER)):
+            build(MAX_ORDER + 1)
 
 
 def test_zigzag_side_examples():

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from aztec_tilings import verify
+from aztec_tilings.regions import MAX_ORDER
 
 
 def test_theorem1_suite_case_count():
@@ -70,6 +71,7 @@ def test_theorem1_runs_past_the_sweep():
     [
         ("theorem1", {"max_order": 0}, "max_order"),
         ("theorem1", {"max_order": -3}, "max_order"),
+        ("theorem1", {"max_order": MAX_ORDER + 1}, "max_order"),
         ("lemma2", {"max_n": -1}, "max_n"),
         ("lemma6", {"max_n": -5}, "max_n"),
     ],
