@@ -1,4 +1,4 @@
-"""Command-line front end: generate, count, verify, bench, render.
+"""Command-line front end: generate, count, verify, render.
 
 Exit codes: 0 success, 1 verification or cross-check failure, 2 invalid input.
 """
@@ -8,7 +8,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 
 from . import engines, render, verify
 from .errors import CountMismatchError
@@ -94,11 +93,7 @@ def _as_graph(obj: Region | EmbeddedGraph) -> EmbeddedGraph:
 
 
 def cmd_gen(args) -> int:
-    obj = _build_family(args)
-    print(_dumps(obj.to_json_dict()))
-    if args.ascii:
-        art = render.ascii_region(obj) if isinstance(obj, Region) else render.ascii_graph(obj)
-        print(art)
+    print(_dumps(_build_family(args).to_json_dict()))
     return 0
 
 
@@ -111,6 +106,7 @@ def cmd_count(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.suite == "all":
+        _need(args.max_n is None, "suite 'all' takes no max_n bound")
         reports = verify.run_all(max_order=args.max_order)
     else:
         reports = [verify.run_suite(args.suite, max_order=args.max_order, max_n=args.max_n)]
@@ -122,46 +118,6 @@ def cmd_verify(args) -> int:
         for r in reports:
             print(r.pretty())
     return 0 if all(r.ok for r in reports) else 1
-
-
-def _parse_orders(text: str) -> list[int]:
-    if ":" in text:
-        lo, hi = text.split(":", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(part) for part in text.split(",") if part != ""]
-
-
-def cmd_bench(args) -> int:
-    families = args.families.split(",")
-    for family in families:
-        _need(family in _REGION_FAMILIES, f"unknown bench family {family!r}")
-    engine_names = args.engines.split(",")
-    for engine in engine_names:
-        _need(engine in engines.ENGINE_CHOICES, f"unknown bench engine {engine!r}")
-    _need(args.reps >= 1, f"--reps must be >= 1, got {args.reps}")
-    orders = _parse_orders(args.orders)
-    print("instance,engine,vertices,ms,digits", flush=True)
-    for family in families:
-        for order in orders:
-            if family == "ad":
-                g = dual_graph(build_aztec_diamond(order))
-            else:
-                g = dual_graph(build_quartered(order, _KIND_BY_FAMILY[family]))
-            results = {}
-            for engine in engine_names:
-                best_ms = None
-                for _ in range(args.reps):
-                    t0 = time.perf_counter()
-                    value = engines.count(g, engine=engine)
-                    ms = (time.perf_counter() - t0) * 1000
-                    best_ms = ms if best_ms is None else min(best_ms, ms)
-                results[engine] = value
-                print(f"{family}({order}),{engine},{len(g)},{best_ms:.3f},{len(str(value))}",
-                      flush=True)
-            if len(set(results.values())) > 1:
-                print(f"engine disagreement on {family}({order}): {results}", file=sys.stderr)
-                return 1
-    return 0
 
 
 def cmd_render(args) -> int:
@@ -194,7 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = subs.add_parser("gen", help="emit a region or graph as JSON")
     p_gen.add_argument("family", choices=_REGION_FAMILIES + _GRAPH_FAMILIES)
     _add_family_options(p_gen, with_input=False)
-    p_gen.add_argument("--ascii", action="store_true", help="append an ASCII rendering")
     p_gen.set_defaults(func=cmd_gen)
 
     p_count = subs.add_parser("count", help="count perfect matchings / tilings")
@@ -206,17 +161,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = subs.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("suite", choices=verify.SUITE_NAMES + ("all",))
-    p_verify.add_argument("--max-order", type=int, default=12)
-    p_verify.add_argument("--max-n", type=int, default=None)
+    p_verify.add_argument("--max-order", type=int)
+    p_verify.add_argument("--max-n", type=int)
     p_verify.add_argument("--format", choices=("json", "csv", "pretty"), default="json")
     p_verify.set_defaults(func=cmd_verify)
-
-    p_bench = subs.add_parser("bench", help="time engines on region families")
-    p_bench.add_argument("--families", default="r,ka,kna")
-    p_bench.add_argument("--orders", default="4:12", help="range lo:hi or comma list")
-    p_bench.add_argument("--engines", default="profile_dp")
-    p_bench.add_argument("--reps", type=int, default=1)
-    p_bench.set_defaults(func=cmd_bench)
 
     p_render = subs.add_parser("render", help="draw a region or graph")
     _add_family_options(p_render, with_input=True)

@@ -31,13 +31,6 @@ class DiagonalAxis:
     def w(self) -> int:
         return len(self.on_axis) // 2
 
-    def to_json_dict(self) -> dict:
-        return {
-            "slope": self.slope,
-            "offset": self.offset,
-            "on_axis": [list(p) for p in self.on_axis],
-        }
-
 
 @dataclass(frozen=True)
 class FactorizationResult:
@@ -59,17 +52,6 @@ class FactorizationReport:
     @property
     def ok(self) -> bool:
         return self.m_g == (1 << self.w) * self.m_plus * self.m_minus
-
-    def to_json_dict(self, g: EmbeddedGraph) -> dict:
-        return {
-            "graph": g.to_json_dict(),
-            "axis": self.axis.to_json_dict(),
-            "w": self.w,
-            "m_g": str(self.m_g),
-            "m_plus": str(self.m_plus),
-            "m_minus": str(self.m_minus),
-            "ok": self.ok,
-        }
 
 
 def _reflect(slope: int, offset: int, p: Point) -> Point:

@@ -57,8 +57,16 @@ class EmbeddedGraph:
         points: Iterable[Point],
         pairs: Optional[Iterable[PointPair]] = None,
     ) -> "EmbeddedGraph":
-        """Build a graph from points; with pairs=None, connect all unit neighbors."""
-        vs = tuple(sorted(set((int(x), int(y)) for x, y in points)))
+        """Build a graph from points; with pairs=None, connect all unit neighbors.
+
+        A coordinate that is not an int (a float or a bool) raises ValueError.
+        """
+        point_set = set()
+        for x, y in points:
+            if type(x) is not int or type(y) is not int:
+                raise ValueError(f"point ({x!r}, {y!r}) has a non-integer coordinate")
+            point_set.add((x, y))
+        vs = tuple(sorted(point_set))
         # Edges hold the vertex tuples themselves, so they allocate no points of their own.
         vertex = {p: p for p in vs}.get
         if pairs is None:

@@ -80,11 +80,12 @@ class SuiteReport:
         return "\n".join(lines)
 
 
-# Suite name -> (runner, the run_suite bound it reads: "max_order", "max_n" or None).
-_SUITES: dict[str, tuple[Callable[..., SuiteReport], str | None]] = {}
+# Suite name -> (runner, the run_suite bound it reads: "max_order", "max_n" or None,
+# and the largest order that bound builds, as a function of its value).
+_SUITES: dict[str, tuple[Callable[..., SuiteReport], str | None, Callable[[int], int] | None]] = {}
 
 
-def _suite(name: str, bound: str | None = None):
+def _suite(name: str, bound: str | None = None, top_order: Callable[[int], int] | None = None):
     """Register a case generator as a named suite that times and reports its cases."""
 
     def register(body: Callable[..., Iterator[VerifyCase]]) -> Callable[..., SuiteReport]:
@@ -94,7 +95,7 @@ def _suite(name: str, bound: str | None = None):
             cases = tuple(body(*args, **kwargs))
             return SuiteReport(suite=name, cases=cases, wall_ms=(time.monotonic() - t0) * 1000)
 
-        _SUITES[name] = (run, bound)
+        _SUITES[name] = (run, bound, top_order)
         return run
 
     return register
@@ -109,7 +110,7 @@ def _bool_case(cid: str, value: bool) -> VerifyCase:
     return VerifyCase(case_id=cid, expected="true", actual=str(value).lower(), ok=value)
 
 
-@_suite("theorem1", bound="max_order")
+@_suite("theorem1", "max_order", top_order=lambda order: order)
 def suite_theorem1(max_order: int = 12) -> Iterator[VerifyCase]:
     """Engine count of every quartered region equals its closed form."""
     for order in range(1, max_order + 1):
@@ -142,7 +143,7 @@ def lemma1_sides(which: str, n: int) -> tuple[int, int]:
     return lhs, (1 << n) * rhs
 
 
-@_suite("lemma1", bound="max_n")
+@_suite("lemma1", "max_n", top_order=lambda n: 4 * n + 1)
 def suite_lemma1(max_n: int = 2) -> Iterator[VerifyCase]:
     """The four doubling recurrences, both sides counted independently."""
     for n in range(1, max_n + 1):
@@ -160,7 +161,7 @@ _LEMMA2_PAIRS = (
 )
 
 
-@_suite("lemma2", bound="max_n")
+@_suite("lemma2", "max_n", top_order=lambda n: 4 * n + 3)
 def suite_lemma2(max_n: int = 2) -> Iterator[VerifyCase]:
     """Forced-edge reduction maps the larger dual onto the smaller one."""
     for n in range(1, max_n + 1):
@@ -186,7 +187,7 @@ _LEMMA3_TABLE = (
 )
 
 
-@_suite("lemma3", bound="max_n")
+@_suite("lemma3", "max_n", top_order=lambda n: 4 * n)
 def suite_lemma3(max_n: int = 2) -> Iterator[VerifyCase]:
     """Holey rectangles factor into quartered duals with the right product."""
     for n in range(1, max_n + 1):
@@ -239,14 +240,14 @@ def suite_lemma5(trials: int = 20) -> Iterator[VerifyCase]:
         yield _case(cid, lemma5_value(m, n, removed), engines.count(g))
 
 
-@_suite("lemma6", bound="max_n")
+@_suite("lemma6", "max_n", top_order=lambda n: n)
 def suite_lemma6(max_n: int = 50) -> Iterator[VerifyCase]:
     """Exact rational equality of the difference-product ratio identity."""
     for n in range(1, max_n + 1):
         yield _case(f"n={n}", lemma6_rhs(n), lemma6_lhs(n))
 
 
-@_suite("factorization", bound="max_n")
+@_suite("factorization", "max_n", top_order=lambda n: 4 * n)
 def suite_factorization(max_n: int = 2) -> Iterator[VerifyCase]:
     """The product identity itself, on the 4-cycle and all holey rectangles."""
     targets: list[tuple[str, EmbeddedGraph]] = [
@@ -291,29 +292,38 @@ def suite_engines(trials: int = 300) -> Iterator[VerifyCase]:
 SUITE_NAMES = tuple(_SUITES)
 
 
-def run_suite(name: str, max_order: int = 12, max_n: int | None = None) -> SuiteReport:
+def run_suite(name: str, max_order: int | None = None, max_n: int | None = None) -> SuiteReport:
     """Run one named suite with its bound: max_order for theorem1, max_n where read.
 
-    A suite that reads max_n keeps its default for None or 0; others reject max_n.
-    A max_order outside 1..MAX_ORDER or a negative max_n is rejected up front.
+    None, or 0 for max_n, keeps the suite's default (12 for theorem1). A bound the
+    suite does not read, one that would run no case (max_order below 1, a negative
+    max_n), or one that would build an order above MAX_ORDER is rejected before any
+    case runs.
     """
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}")
-    if not 1 <= max_order <= MAX_ORDER:
-        raise ValueError(f"max_order must be in 1..{MAX_ORDER}, got {max_order}")
+    suite, bound, top_order = _SUITES[name]
+    for key, value in (("max_order", max_order), ("max_n", max_n)):
+        if value is not None and key != bound:
+            raise ValueError(f"suite {name!r} takes no {key} bound")
+    if max_order is not None and max_order < 1:
+        raise ValueError(f"max_order must be >= 1, got {max_order}")
     if max_n is not None and max_n < 0:
         raise ValueError(f"max_n must be >= 0 (0 for the default), got {max_n}")
-    suite, bound = _SUITES[name]
-    if max_n is not None and bound != "max_n":
-        raise ValueError(f"suite {name!r} takes no max_n bound")
-    if bound == "max_order":
-        return suite(max_order=max_order)
-    return suite(max_n=max_n) if max_n else suite()
+    value = max_order if bound == "max_order" else max_n
+    if not value:
+        return suite()
+    if top_order(value) > MAX_ORDER:
+        limit = max(k for k in range(MAX_ORDER + 1) if top_order(k) <= MAX_ORDER)
+        raise ValueError(f"{bound} must be at most {limit} for suite {name!r}, got {value}: "
+                         f"it would build order {top_order(value)}, above MAX_ORDER = {MAX_ORDER}")
+    return suite(**{bound: value})
 
 
-def run_all(max_order: int = 12) -> list[SuiteReport]:
+def run_all(max_order: int | None = None) -> list[SuiteReport]:
     """Every suite at its default bound, theorem1 at max_order."""
-    return [run_suite(name, max_order=max_order) for name in SUITE_NAMES]
+    return [run_suite(name, max_order=max_order if name == "theorem1" else None)
+            for name in SUITE_NAMES]
 
 
 def reports_to_json(reports: list[SuiteReport]) -> str:

@@ -13,7 +13,7 @@ from aztec_tilings import regions
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def run_cli(*args, stdin=None):
+def run_cli(*args, stdin=None, timeout=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run(
@@ -22,6 +22,7 @@ def run_cli(*args, stdin=None):
         text=True,
         input=stdin,
         env=env,
+        timeout=timeout,
     )
 
 
@@ -32,12 +33,17 @@ def test_gen_diamond_order_8():
     assert len(data["cells"]) == 144
 
 
-def test_gen_pinwheel_with_ascii():
-    proc = run_cli("gen", "r", "--n", "3", "--ascii")
+def test_render_pinwheel_ascii():
+    proc = run_cli("render", "--family", "r", "--n", "3", "--format", "ascii")
     assert proc.returncode == 0
-    payload, art = proc.stdout.split("\n", 1)
-    assert len(json.loads(payload)["cells"]) == 6
-    assert art == ".##\n###\n..#\n"
+    assert proc.stdout == ".##\n###\n..#\n"
+
+
+@pytest.mark.parametrize("args", [("bench",), ("gen", "r", "--n", "3", "--ascii")])
+def test_retired_commands_exit_2_with_usage(args):
+    proc = run_cli(*args)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("usage: aztec-tilings")
 
 
 def test_gen_holey_rectangle():
@@ -171,19 +177,6 @@ def test_verify_rejects_max_n_for_a_suite_without_it():
     assert "Traceback" not in proc.stderr
 
 
-def test_bench_streams_rows_measured_before_a_failure():
-    # r(9) has 45 vertices, past the brute-force size guard
-    proc = run_cli("bench", "--families", "r", "--orders", "4,9", "--engines", "profile_dp,brute")
-    assert proc.returncode == 2
-    lines = proc.stdout.splitlines()
-    assert lines[0] == "instance,engine,vertices,ms,digits"
-    assert lines[1].startswith("r(4),profile_dp,")
-    assert lines[2].startswith("r(4),brute,")
-    assert lines[3].startswith("r(9),profile_dp,45,")
-    assert len(lines) == 4
-    assert "brute-force limit" in proc.stderr
-
-
 @pytest.mark.parametrize(
     "args,message",
     [
@@ -191,41 +184,18 @@ def test_bench_streams_rows_measured_before_a_failure():
         (("all", "--max-order", "0"), "max_order"),
         (("theorem1", "--max-order", "301"), "max_order"),  # MAX_ORDER + 1
         (("lemma2", "--max-n", "-1"), "max_n"),
+        (("lemma4", "--max-order", "20"), "max_order"),
+        (("all", "--max-n", "3"), "max_n"),
+        (("lemma2", "--max-n", "75"), "max_n"),  # eq14 would build order 4*75 + 3
+        (("lemma6", "--max-n", "301"), "max_n"),
     ],
 )
 def test_verify_rejects_a_bound_with_no_cases(args, message):
-    proc = run_cli("verify", *args)
+    proc = run_cli("verify", *args, timeout=10)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert message in proc.stderr
     assert "Traceback" not in proc.stderr
-
-
-def test_bench_rejects_reps_below_one_before_measuring():
-    proc = run_cli("bench", "--families", "r", "--orders", "4", "--reps", "0")
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert "--reps" in proc.stderr
-    assert "Traceback" not in proc.stderr
-
-
-def test_bench_rejects_unknown_engine_before_measuring():
-    proc = run_cli("bench", "--families", "r", "--orders", "4", "--engines", "profile_dp,guess")
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert "guess" in proc.stderr
-    assert "Traceback" not in proc.stderr
-
-
-def test_bench_reports_and_agrees():
-    proc = run_cli(
-        "bench", "--families", "r,ka", "--orders", "4:6",
-        "--engines", "profile_dp,fkt", "--reps", "1",
-    )
-    assert proc.returncode == 0
-    lines = proc.stdout.splitlines()
-    assert lines[0] == "instance,engine,vertices,ms,digits"
-    assert len(lines) == 1 + 2 * 3 * 2
 
 
 def test_render_ascii_and_svg():

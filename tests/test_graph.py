@@ -66,6 +66,20 @@ def test_graph_validation():
         )
 
 
+@pytest.mark.parametrize(
+    "points,pairs",
+    [
+        ([(0, 0), (1.9, 0)], None),  # once truncated to the edge (0, 0)-(1, 0)
+        ([(0, 0), (1.0, 0)], None),
+        ([(0, 0), (0, True)], None),
+        ([(0, 0), (1.9, 0)], [((0, 0), (1, 0))]),
+    ],
+)
+def test_from_points_rejects_non_integer_coordinates(points, pairs):
+    with pytest.raises(ValueError, match="non-integer"):
+        EmbeddedGraph.from_points(points, pairs)
+
+
 SQUARE_POINTS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 

@@ -74,11 +74,32 @@ def test_theorem1_runs_past_the_sweep():
         ("theorem1", {"max_order": MAX_ORDER + 1}, "max_order"),
         ("lemma2", {"max_n": -1}, "max_n"),
         ("lemma6", {"max_n": -5}, "max_n"),
+        ("lemma4", {"max_order": 20}, "max_order"),
+        ("engines", {"max_order": 12}, "max_order"),
     ],
 )
 def test_run_suite_rejects_a_bound_with_no_cases(name, bounds, message):
     with pytest.raises(ValueError, match=message):
         verify.run_suite(name, **bounds)
+
+
+def _no_case(*args):
+    raise AssertionError("a case ran")
+
+
+# The largest max_n each bounded suite takes: its largest order, 4n+1, 4n+3, 4n or n,
+# stays within MAX_ORDER = 300.
+@pytest.mark.parametrize(
+    "name,limit",
+    [("lemma1", 74), ("lemma2", 74), ("lemma3", 75), ("factorization", 75), ("lemma6", 300)],
+)
+def test_run_suite_rejects_max_n_past_max_order_before_any_case(name, limit, monkeypatch):
+    for builder in ("build_quartered", "build_holey_ar", "build_holey_ar_bar", "lemma6_rhs"):
+        monkeypatch.setattr(verify, builder, _no_case)
+    with pytest.raises(ValueError, match=f"max_n must be at most {limit} "):
+        verify.run_suite(name, max_n=limit + 1)
+    with pytest.raises(AssertionError, match="a case ran"):
+        verify.run_suite(name, max_n=limit)
 
 
 @pytest.mark.parametrize("name", ["lemma4", "lemma5", "engines", "theorem1"])
