@@ -1,7 +1,9 @@
 """Exact closed-form values for quartered-diamond and holey-rectangle counts.
 
-Every product is evaluated over exact rationals and converted to an
-integer at the end; a non-integral result is a bug, not a rounding issue.
+Every closed form is an integer product of its numerator factors, one of its
+denominator factors and one exact division; a remainder is a bug, not a
+rounding issue. Only the lemma6 ratios, which are not integers, are returned
+as `Fraction`s.
 """
 
 from __future__ import annotations
@@ -12,48 +14,57 @@ from .errors import CountMismatchError, InvalidHolesError, InvalidOrderError
 from .regions import KLEIN_ABUT, KLEIN_NONABUT, PINWHEEL, check_index_set, set_A, set_B
 
 
-def _as_int(value: Fraction) -> int:
-    if value.denominator != 1:
-        raise CountMismatchError(f"expected an integer, got {value}")
-    return value.numerator
+def _product(factors: list[int]) -> int:
+    # Balanced pairwise rounds keep both operands of each big multiplication
+    # about the same size; left to right, every step costs the whole product.
+    while len(factors) > 1:
+        paired = [a * b for a, b in zip(factors[::2], factors[1::2])]
+        if len(factors) % 2:
+            paired.append(factors[-1])
+        factors = paired
+    return factors[0] if factors else 1
 
 
-def _pair_product(n: int, shift: int, strict: bool) -> Fraction:
-    # prod over 1 <= i < j <= n (or i <= j) of (2i + 2j + shift) / (i + j - 1)
-    total = Fraction(1)
-    for i in range(1, n + 1):
-        start = i + 1 if strict else i
-        for j in range(start, n + 1):
-            total *= Fraction(2 * i + 2 * j + shift, i + j - 1)
-    return total
+def _as_int(num: int, den: int, k: int = 0) -> int:
+    """2^k * num / den, which must be an integer."""
+    q, r = divmod(num << k, den)
+    if r:
+        raise CountMismatchError(f"expected an integer, got 2^{k} * {num} / {den}")
+    return q
+
+
+def _differences(a) -> list[int]:
+    return [a[j] - a[i] for i in range(len(a)) for j in range(i + 1, len(a))]
+
+
+# (kind, order % 2) -> (c, shift, strict): with n = (order + c) // 4 the count is
+# 2^(n(3n-1)/2) (even order) or 2^(n(3n-3)/2) (odd order) times the product over
+# 1 <= i < j <= n (strict) or 1 <= i <= j <= n of (2i + 2j + shift) / (i + j - 1).
+_THEOREM1 = {
+    (PINWHEEL, 0): (1, -1, True),
+    (PINWHEEL, 1): (1, -1, True),
+    (KLEIN_ABUT, 0): (2, -3, True),
+    (KLEIN_ABUT, 1): (2, -1, False),
+    (KLEIN_NONABUT, 0): (0, -1, False),
+    (KLEIN_NONABUT, 1): (3, -3, True),
+}
 
 
 def theorem1_value(kind: str, order: int) -> int:
     """Closed-form tiling count of a quartered diamond of the given order."""
     if order < 1:
         raise InvalidOrderError(f"order must be >= 1, got {order}")
-    r = order % 4
-    if kind == PINWHEEL:
-        if r in (1, 2):
-            return 0
-        if r == 0:
-            n = order // 4
-            return _as_int(2 ** (n * (3 * n - 1) // 2) * _pair_product(n, -1, True))
-        n = (order + 1) // 4
-        return _as_int(2 ** (n * (3 * n - 3) // 2) * _pair_product(n, -1, True))
-    if kind == KLEIN_ABUT:
-        if r in (0, 2):
-            n = (order + 2) // 4 if r == 2 else order // 4
-            return _as_int(2 ** (n * (3 * n - 1) // 2) * _pair_product(n, -3, True))
-        n = (order + 1) // 4 if r == 3 else (order - 1) // 4
-        return _as_int(2 ** (n * (3 * n - 3) // 2) * _pair_product(n, -1, False))
-    if kind == KLEIN_NONABUT:
-        if r in (0, 2):
-            n = order // 4 if r == 0 else (order - 2) // 4
-            return _as_int(2 ** (n * (3 * n - 1) // 2) * _pair_product(n, -1, False))
-        n = (order + 3) // 4 if r == 1 else (order + 1) // 4
-        return _as_int(2 ** (n * (3 * n - 3) // 2) * _pair_product(n, -3, True))
-    raise ValueError(f"unknown quarter kind {kind!r}")
+    parity = order % 2
+    if (kind, parity) not in _THEOREM1:
+        raise ValueError(f"unknown quarter kind {kind!r}")
+    if kind == PINWHEEL and order % 4 in (1, 2):
+        return 0
+    c, shift, strict = _THEOREM1[kind, parity]
+    n = (order + c) // 4
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1 if strict else i, n + 1)]
+    return _as_int(_product([2 * i + 2 * j + shift for i, j in pairs]),
+                   _product([i + j - 1 for i, j in pairs]),
+                   n * (3 * n - 1 - 2 * parity) // 2)
 
 
 def aztec_diamond_value(n: int) -> int:
@@ -63,36 +74,25 @@ def aztec_diamond_value(n: int) -> int:
     return 1 << (n * (n + 1) // 2)
 
 
-def _position_product(a: tuple[int, ...]) -> Fraction:
-    total = Fraction(1)
-    m = len(a)
-    for i in range(m):
-        for j in range(i + 1, m):
-            total *= Fraction(a[j] - a[i], j - i)
-    return total
-
-
 def lemma4_value(m: int, n: int, a: tuple[int, ...]) -> int:
     """Matching count of the rectangle graph keeping bottom positions a."""
     check_index_set(a, m, n)
-    return _as_int(2 ** (m * (m + 1) // 2) * _position_product(a))
+    return _as_int(_product(_differences(a)), _product(_differences(range(1, m + 1))),
+                   m * (m + 1) // 2)
 
 
 def lemma5_value(m: int, n: int, a: tuple[int, ...]) -> int:
     """Matching count of the bottomless rectangle graph with holes at a."""
     check_index_set(a, m, n + 1)
-    return _as_int(2 ** (m * (m - 1) // 2) * _position_product(a))
+    return _as_int(_product(_differences(a)), _product(_differences(range(1, m + 1))),
+                   m * (m - 1) // 2)
 
 
 def delta(s: tuple[int, ...]) -> int:
     """Product of pairwise differences (later minus earlier) of an index set."""
     if not s:
         raise InvalidHolesError("index set must be non-empty")
-    total = 1
-    for i in range(len(s)):
-        for j in range(i + 1, len(s)):
-            total *= s[j] - s[i]
-    return total
+    return _product(_differences(s))
 
 
 def lemma6_lhs(n: int) -> Fraction:
@@ -104,12 +104,9 @@ def lemma6_rhs(n: int) -> Fraction:
     """The equivalent double product over 1 <= i, j <= n."""
     if n < 1:
         raise InvalidOrderError(f"n must be >= 1, got {n}")
-    num = den = 1
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            num *= 2 * n + 1 + 2 * j - 2 * i
-            den *= 2 * n - 1 + 2 * j - 2 * i
-    return Fraction(num, den)
+    steps = [2 * j - 2 * i for i in range(1, n + 1) for j in range(1, n + 1)]
+    return Fraction(_product([2 * n + 1 + d for d in steps]),
+                    _product([2 * n - 1 + d for d in steps]))
 
 
 def lemma6_check(n: int) -> bool:

@@ -9,7 +9,9 @@ repeated runs are byte-identical.
 
 from __future__ import annotations
 
+import csv
 import functools
+import io
 import json
 import random
 import time
@@ -295,10 +297,9 @@ SUITE_NAMES = tuple(_SUITES)
 def run_suite(name: str, max_order: int | None = None, max_n: int | None = None) -> SuiteReport:
     """Run one named suite with its bound: max_order for theorem1, max_n where read.
 
-    None, or 0 for max_n, keeps the suite's default (12 for theorem1). A bound the
-    suite does not read, one that would run no case (max_order below 1, a negative
-    max_n), or one that would build an order above MAX_ORDER is rejected before any
-    case runs.
+    None keeps the suite's default (12 for theorem1). A bound the suite does not
+    read, one below 1 (it would run no case), or one that would build an order above
+    MAX_ORDER is rejected before any case runs.
     """
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}")
@@ -306,12 +307,10 @@ def run_suite(name: str, max_order: int | None = None, max_n: int | None = None)
     for key, value in (("max_order", max_order), ("max_n", max_n)):
         if value is not None and key != bound:
             raise ValueError(f"suite {name!r} takes no {key} bound")
-    if max_order is not None and max_order < 1:
-        raise ValueError(f"max_order must be >= 1, got {max_order}")
-    if max_n is not None and max_n < 0:
-        raise ValueError(f"max_n must be >= 0 (0 for the default), got {max_n}")
+        if value is not None and value < 1:
+            raise ValueError(f"{key} must be >= 1, got {value}")
     value = max_order if bound == "max_order" else max_n
-    if not value:
+    if value is None:
         return suite()
     if top_order(value) > MAX_ORDER:
         limit = max(k for k in range(MAX_ORDER + 1) if top_order(k) <= MAX_ORDER)
@@ -340,8 +339,10 @@ def reports_to_json(reports: list[SuiteReport]) -> str:
 
 
 def reports_to_csv(reports: list[SuiteReport]) -> str:
-    lines = ["suite,case,expected,actual,ok"]
-    for r in reports:
-        for c in r.cases:
-            lines.append(f"{r.suite},{c.case_id},{c.expected},{c.actual},{str(c.ok).lower()}")
-    return "\n".join(lines)
+    """CSV with a header row; fields holding a comma, as some case ids do, are quoted."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["suite", "case", "expected", "actual", "ok"])
+    writer.writerows([r.suite, c.case_id, c.expected, c.actual, str(c.ok).lower()]
+                     for r in reports for c in r.cases)
+    return out.getvalue().removesuffix("\n")

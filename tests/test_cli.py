@@ -188,6 +188,7 @@ def test_verify_rejects_max_n_for_a_suite_without_it():
         (("all", "--max-n", "3"), "max_n"),
         (("lemma2", "--max-n", "75"), "max_n"),  # eq14 would build order 4*75 + 3
         (("lemma6", "--max-n", "301"), "max_n"),
+        (("lemma6", "--max-n", "0"), "max_n"),
     ],
 )
 def test_verify_rejects_a_bound_with_no_cases(args, message):

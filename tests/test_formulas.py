@@ -1,10 +1,15 @@
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aztec_tilings.engines import count
-from aztec_tilings.errors import InvalidHolesError, InvalidOrderError
+from aztec_tilings.errors import CountMismatchError, InvalidHolesError, InvalidOrderError
 from aztec_tilings.formulas import (
+    _as_int,
+    _product,
     aztec_diamond_value,
     delta,
     lemma4_value,
@@ -78,6 +83,82 @@ def test_equalities_within_residue_classes(n):
     assert theorem1_value(KLEIN_ABUT, 4 * n - 1) == theorem1_value(KLEIN_ABUT, 4 * n + 1)
     assert theorem1_value(KLEIN_NONABUT, 4 * n) == theorem1_value(KLEIN_NONABUT, 4 * n + 2)
     assert theorem1_value(KLEIN_NONABUT, 4 * n - 3) == theorem1_value(KLEIN_NONABUT, 4 * n - 1)
+
+
+def _reference_pair_product(n, shift, strict):
+    # prod over 1 <= i < j <= n (or i <= j) of (2i + 2j + shift) / (i + j - 1)
+    total = Fraction(1)
+    for i in range(1, n + 1):
+        for j in range(i + 1 if strict else i, n + 1):
+            total *= Fraction(2 * i + 2 * j + shift, i + j - 1)
+    return total
+
+
+def _reference_theorem1(kind, order):
+    # Theorem 1 written out one residue class mod 4 at a time.
+    r = order % 4
+    if kind == PINWHEEL:
+        if r in (1, 2):
+            return Fraction(0)
+        if r == 0:
+            n = order // 4
+            return 2 ** (n * (3 * n - 1) // 2) * _reference_pair_product(n, -1, True)
+        n = (order + 1) // 4
+        return 2 ** (n * (3 * n - 3) // 2) * _reference_pair_product(n, -1, True)
+    if kind == KLEIN_ABUT:
+        if r in (0, 2):
+            n = (order + 2) // 4 if r == 2 else order // 4
+            return 2 ** (n * (3 * n - 1) // 2) * _reference_pair_product(n, -3, True)
+        n = (order + 1) // 4 if r == 3 else (order - 1) // 4
+        return 2 ** (n * (3 * n - 3) // 2) * _reference_pair_product(n, -1, False)
+    if r in (0, 2):
+        n = order // 4 if r == 0 else (order - 2) // 4
+        return 2 ** (n * (3 * n - 1) // 2) * _reference_pair_product(n, -1, False)
+    n = (order + 3) // 4 if r == 1 else (order + 1) // 4
+    return 2 ** (n * (3 * n - 3) // 2) * _reference_pair_product(n, -3, True)
+
+
+@pytest.mark.parametrize("kind", QUARTER_KINDS)
+def test_closed_form_matches_factor_by_factor_reference(kind):
+    for order in range(1, 129):
+        assert theorem1_value(kind, order) == _reference_theorem1(kind, order), order
+
+
+def _position_ratio(a):
+    total = Fraction(1)
+    for i in range(len(a)):
+        for j in range(i + 1, len(a)):
+            total *= Fraction(a[j] - a[i], j - i)
+    return total
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 24).flatmap(lambda n: st.tuples(st.just(n), st.sets(st.integers(1, n + 1)))))
+def test_hole_formulas_match_position_ratio(case):
+    n, holes = case
+    a = tuple(sorted(holes))
+    m = len(a)
+    want = _position_ratio(a)
+    assert lemma5_value(m, n, a) == 2 ** (m * (m - 1) // 2) * want
+    if not a or a[-1] <= n:
+        assert lemma4_value(m, n, a) == 2 ** (m * (m + 1) // 2) * want
+
+
+@given(st.lists(st.integers(-10**6, 10**6), max_size=40))
+def test_product_equals_math_prod(factors):
+    assert _product(factors) == math.prod(factors)
+
+
+def test_non_integral_ratio_is_a_mismatch():
+    assert _as_int(9, 12, 2) == 3
+    with pytest.raises(CountMismatchError):
+        _as_int(1, 3)
+    with pytest.raises(CountMismatchError):
+        _as_int(3, 8, 2)
+
+
+def test_hole_formulas_of_no_holes():
+    assert lemma4_value(0, 5, ()) == lemma5_value(0, 5, ()) == 1
 
 
 def test_theorem1_rejects_bad_order():

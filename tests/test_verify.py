@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 
 import pytest
@@ -50,7 +52,6 @@ def test_verify_all_json_is_pinned():
         ("theorem1", {"max_order": 2}, 6),
         ("lemma6", {"max_n": 3}, 3),
         ("lemma6", {"max_n": None}, 50),
-        ("lemma6", {"max_n": 0}, 50),
         ("lemma1", {"max_n": 1}, 4),
     ],
 )
@@ -74,6 +75,7 @@ def test_theorem1_runs_past_the_sweep():
         ("theorem1", {"max_order": MAX_ORDER + 1}, "max_order"),
         ("lemma2", {"max_n": -1}, "max_n"),
         ("lemma6", {"max_n": -5}, "max_n"),
+        ("lemma6", {"max_n": 0}, "max_n"),
         ("lemma4", {"max_order": 20}, "max_order"),
         ("engines", {"max_order": 12}, "max_order"),
     ],
@@ -120,6 +122,21 @@ def test_csv_output():
     lines = text.splitlines()
     assert lines[0] == "suite,case,expected,actual,ok"
     assert lines[1] == "lemma6,n=1,3,3,true"
+
+
+def test_csv_rows_parse_to_the_json_cases():
+    # lemma4 ids such as ar(3,5)keep=1,3,5 and factorization ids such as
+    # ar(2,4)B1 hold commas.
+    reports = [verify.suite_lemma4(), verify.suite_factorization(max_n=1)]
+    rows = list(csv.reader(io.StringIO(verify.reports_to_csv(reports))))
+    assert rows[0] == ["suite", "case", "expected", "actual", "ok"]
+    want = [
+        [r["suite"], c["id"], c["expected"], c["actual"], json.dumps(c["ok"])]
+        for r in map(verify.SuiteReport.to_json_dict, reports)
+        for c in r["cases"]
+    ]
+    assert rows[1:] == want
+    assert any("," in row[1] for row in rows[1:])
 
 
 def test_pretty_output_mentions_suite():
