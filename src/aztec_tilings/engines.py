@@ -113,13 +113,6 @@ def count_profile_dp(g: EmbeddedGraph) -> int:
     return states.get(full, 0)
 
 
-def _exact_div(num: int, den: int) -> int:
-    q, r = divmod(num, den)
-    if r:
-        raise CountMismatchError("non-exact division in fraction-free elimination")
-    return q
-
-
 def _abs_det(rows: list[dict[int, int]]) -> int:
     """|det| of a square matrix as sparse rows (column -> nonzero entry), consumed.
 
@@ -128,8 +121,10 @@ def _abs_det(rows: list[dict[int, int]]) -> int:
     entry in column k are updated.  Other rows stay stale: s = stamp[i] is
     the pivot row i was last scaled to, so its true entries are V = v*prev/s
     and H = head*prev/s, and the Bareiss step (pivot*V - H*w) / prev is
-    (pivot*v - head*w) / s, exact since every true entry is a minor.  Only
-    |det| is wanted, so the pivot permutation's sign is not kept.
+    (pivot*v - head*w) / s, exact since every true entry is a minor; a
+    remainder raises at once.  An updated row is rebuilt in one pass over its
+    entries, dropping those that cancel, then gains the fill -head*w / s (never
+    zero) in the pivot row's other columns.  |det| needs no pivot sign.
     """
     holders: list[set[int]] = [set() for _ in rows]  # column -> rows with an entry
     for i, row in enumerate(rows):
@@ -141,24 +136,32 @@ def _abs_det(rows: list[dict[int, int]]) -> int:
         if not live:
             return 0
         p = min(live)
-        live.discard(p)
-        prow = rows[p]
-        for j, w in prow.items():
-            prow[j] = _exact_div(w * prev, stamp[p])
-        pivot = prow.pop(k)
-        for j in prow:
+        prow, s = rows[p], stamp[p]
+        for j in prow:  # live is holders[k], so p leaves it too
             holders[j].discard(p)
+        if s != prev:  # else w*prev/s is w
+            for j, w in prow.items():
+                prow[j], r = divmod(w * prev, s)
+                if r:
+                    raise CountMismatchError("non-exact division in fraction-free elimination")
+        pivot = prow.pop(k)
         for i in live:
-            row = rows[i]
+            row, s = rows[i], stamp[i]
+            rows[i] = new = {}
             head = row.pop(k)
-            for j in prow.keys() - row.keys():
-                row[j] = 0
-                holders[j].add(i)
-            for j, v in list(row.items()):
-                row[j] = _exact_div(pivot * v - head * prow.get(j, 0), stamp[i])
-                if not row[j]:
-                    del row[j]
+            for j, v in row.items():
+                q, r = divmod(pivot * v - head * prow.get(j, 0), s)
+                if r:
+                    raise CountMismatchError("non-exact division in fraction-free elimination")
+                if q:
+                    new[j] = q
+                else:
                     holders[j].discard(i)
+            for j in prow.keys() - row.keys():
+                new[j], r = divmod(-head * prow[j], s)
+                if r:
+                    raise CountMismatchError("non-exact division in fraction-free elimination")
+                holders[j].add(i)
             stamp[i] = pivot
         prev = pivot
     return abs(prev)
@@ -250,20 +253,17 @@ def count(g: EmbeddedGraph, engine: str = "auto", crosscheck: bool = False) -> i
         raise ValueError(f"unknown engine {engine!r}")
     result = _DISPATCH[engine](g)
     if crosscheck:
-        name, value = _second_opinion(g, engine)
-        _compare(result, value, engine, name)
+        # Brute rechecks small graphs, the sweep rechecks the others, fkt the sweep.
+        if engine != "brute" and len(g.vertices) < AUTO_CROSSCHECK_BELOW:
+            name, recount = "brute", count_brute
+        elif engine != "profile_dp":
+            name, recount = "profile_dp", count_profile_dp
+        else:
+            name, recount = "fkt", count_fkt
+        try:
+            value = recount(g)
+        except TooLargeError as exc:
+            raise TooLargeError(f"crosscheck: {name} cannot recheck the {engine} count: {exc}")
+        if value != result:
+            raise CountMismatchError(f"{engine} counted {result} but {name} counted {value}")
     return result
-
-
-def _second_opinion(g: EmbeddedGraph, engine: str) -> tuple[str, int]:
-    # Brute rechecks small graphs, the sweep rechecks the others, fkt the sweep.
-    if engine != "brute" and len(g.vertices) < AUTO_CROSSCHECK_BELOW:
-        return ("brute", count_brute(g))
-    if engine != "profile_dp":
-        return ("profile_dp", count_profile_dp(g))
-    return ("fkt", count_fkt(g))
-
-
-def _compare(a: int, b: int, name_a: str, name_b: str) -> None:
-    if a != b:
-        raise CountMismatchError(f"{name_a} counted {a} but {name_b} counted {b}")

@@ -154,6 +154,15 @@ def test_count_region_with_holes_crosschecks():
     assert proc.stdout.strip() == "500"
 
 
+def test_count_crosscheck_past_the_sweep_budget_exits_2_naming_both_engines():
+    # fkt counts ad(12) at once; its only recheck, the sweep, gives up at 2^18 live states
+    proc = run_cli("count", "--family", "ad", "--n", "12", "--crosscheck", timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("crosscheck: profile_dp cannot recheck the fkt count: ")
+    assert "Traceback" not in proc.stderr
+
+
 def test_verify_suite_exit_code_and_format():
     proc = run_cli("verify", "lemma2", "--max-n", "2")
     assert proc.returncode == 0

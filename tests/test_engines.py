@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -146,22 +147,32 @@ def _leibniz_det(m):
     n = len(m)
     total = 0
     for perm in itertools.permutations(range(n)):
-        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
-        term = -1 if inversions % 2 else 1
-        for i in range(n):
-            term *= m[i][perm[i]]
-        total += term
+        term = math.prod(m[i][perm[i]] for i in range(n))
+        if term:
+            inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+            total += -term if inversions % 2 else term
     return total
 
 
 def test_abs_det_matches_leibniz_on_sparse_matrices():
-    # zero leading entries force later pivot rows; small entries make cancellations
+    # zero leading entries force later pivot rows; small entries make cancellations.  A
+    # duplicated or summed row makes the matrix singular: some update cancels to zero, and a
+    # column can empty mid-elimination after rows went stale under a pivot other than 1.
+    assert _abs_det([]) == 1
     rng = random.Random(90125)
-    for _ in range(300):
-        n = rng.randint(1, 6)
+    singular = 0
+    for _ in range(400):
+        n = rng.randint(1, 7)
         m = [[rng.choice((0, 0, 0, 1, -1, 2, -3)) for _ in range(n)] for _ in range(n)]
+        if n > 1 and rng.random() < 0.3:
+            a, b = rng.sample(range(n), 2)
+            c = rng.choice([i for i in range(n) if i != a])
+            m[a] = list(m[b]) if b == c else [x + y for x, y in zip(m[b], m[c])]
         rows = [{j: v for j, v in enumerate(r) if v} for r in m]
-        assert _abs_det(rows) == abs(_leibniz_det(m))
+        det = _leibniz_det(m)
+        singular += det == 0
+        assert _abs_det(rows) == abs(det)
+    assert singular > 100
 
 
 # The unit squares inside [0, 4] x [0, 4] but some left out, extra unit steps that may
@@ -287,6 +298,17 @@ def test_auto_crosscheck_past_brute_limit_uses_profile_dp(monkeypatch):
     monkeypatch.setattr(eng, "count_profile_dp", lambda _: 99)
     with pytest.raises(CountMismatchError):
         eng.count(g, engine="auto", crosscheck=True)
+
+
+def test_crosscheck_that_cannot_run_names_both_engines(monkeypatch):
+    from aztec_tilings import engines as eng
+
+    g = dual_graph(build_aztec_diamond(8))  # its sweep peaks at 8502 live states
+    monkeypatch.setattr(eng, "PROFILE_STATE_LIMIT", 1000)
+    assert eng.count(g) == aztec_diamond_value(8)
+    message = "^crosscheck: profile_dp cannot recheck the fkt count: profile sweep exceeds 1000 "
+    with pytest.raises(TooLargeError, match=message):
+        eng.count(g, crosscheck=True)
 
 
 def _refuse(name):
