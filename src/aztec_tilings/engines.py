@@ -13,13 +13,14 @@ it is the unit-square face test that gates the `engines` verify suite's
 from __future__ import annotations
 
 from .errors import CountMismatchError, TooLargeError
-from .grids import EmbeddedGraph, connected_components
+from .grids import EmbeddedGraph, Point, connected_components
 
 ENGINE_CHOICES = ("auto", "brute", "profile_dp", "fkt")
 
 BRUTE_VERTEX_LIMIT = 40
 PROFILE_STATE_LIMIT = 1 << 18
 AUTO_CROSSCHECK_BELOW = 24
+_LEAF_ASPECT = 25
 
 
 def count_brute(g: EmbeddedGraph) -> int:
@@ -190,6 +191,32 @@ def fkt_supported(g: EmbeddedGraph) -> bool:
     return len(g.edges) - len(g.vertices) + c == squares
 
 
+def _dissection_order(points: list[Point]) -> list[Point]:
+    """Nested-dissection order of sorted points: low block, high block, separator.
+
+    A block splits across the longer of its u = x + y and v = x - y extents at
+    an odd value next to the middle: that line's points are odd, so columns
+    only, and no block runs short of rows for its pivots.  A block of at most
+    64 points (a smaller one costs more to split than it saves), or
+    _LEAF_ASPECT times as long as wide, is a leaf in band order along its
+    wider x/y axis.  Blocks keep input order, so they stay sorted.
+    """
+    if not points:
+        return points
+    xs, ys = [x for x, _ in points], [y for _, y in points]
+    width, height = max(xs) - min(xs) + 1, max(ys) - min(ys) + 1
+    if len(points) <= 64 or max(width, height) >= _LEAF_ASPECT * min(width, height):
+        return sorted(points, key=lambda p: p[::-1]) if height > width else points
+    us, vs = [x + y for x, y in points], [x - y for x, y in points]
+    c = us if max(us) - min(us) >= max(vs) - min(vs) else vs
+    m = (min(c) + max(c)) // 2
+    m += 1 - m % 2
+    low, high, separator = [], [], []  # type: list[Point], list[Point], list[Point]
+    for p, t in zip(points, c):
+        (low if t < m else high if t > m else separator).append(p)
+    return _dissection_order(low) + _dissection_order(high) + separator
+
+
 def count_fkt(g: EmbeddedGraph) -> int:
     """Count perfect matchings as |det| of a +-1 Kasteleyn matrix.
 
@@ -209,18 +236,17 @@ def count_fkt(g: EmbeddedGraph) -> int:
     are matched among themselves, so J is even and each such cycle signs
     (-1)^(k - 1): Kasteleyn's condition, under which every perfect
     matching adds the same sign to the determinant and |det| is the
-    count.  Points are ordered along the wider bounding-box axis, which
-    bands the matrix to about the narrower side, and the elimination's
-    fill stays in the band.
+    count.  Rows and columns both follow `_dissection_order`, which keeps
+    the elimination's fill in each block and its separator; reordering rows
+    or columns only flips the sign of det, so |det| is the same in any order.
     """
     evens = [p for p in g.vertices if (p[0] + p[1]) % 2 == 0]
     odds = [p for p in g.vertices if (p[0] + p[1]) % 2 == 1]
     if len(evens) != len(odds):
         return 0
-    xs, ys = {x for x, _ in g.vertices}, {y for _, y in g.vertices}
-    key = (lambda p: p[::-1]) if ys and max(ys) - min(ys) > max(xs) - min(xs) else None
-    row = {p: i for i, p in enumerate(sorted(evens, key=key))}
-    col = {p: i for i, p in enumerate(sorted(odds, key=key))}
+    order = _dissection_order(list(g.vertices))
+    row = {p: i for i, p in enumerate(p for p in order if (p[0] + p[1]) % 2 == 0)}
+    col = {p: i for i, p in enumerate(p for p in order if (p[0] + p[1]) % 2 == 1)}
     right: dict[tuple[int, int], int] = {}  # point -> vertices right of it in its row
     seen: dict[int, int] = {}
     for x, y in reversed(g.vertices):

@@ -3,11 +3,12 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aztec_tilings.engines import (
     _abs_det,
+    _dissection_order,
     count,
     count_brute,
     count_fkt,
@@ -32,6 +33,7 @@ cells_6x6 = st.frozensets(
 GRID_6x6 = frozenset((i, j) for i in range(6) for j in range(6))
 
 FOUR_CYCLE = EmbeddedGraph.from_points([(0, 0), (1, 0), (0, 1), (1, 1)])
+EMPTY = EmbeddedGraph.from_points([])
 
 # 34 vertices and two holes: past brute's crosscheck range, and two faces larger than a unit
 # square
@@ -59,7 +61,7 @@ def test_profile_dp_examples():
 
 
 def test_profile_dp_degenerate_cases():
-    assert count_profile_dp(EmbeddedGraph.from_points([])) == 1
+    assert count_profile_dp(EMPTY) == 1
     assert count_profile_dp(EmbeddedGraph.from_points([(3, 3)])) == 0
     # adjacent vertices with the connecting edge withheld cannot be matched
     no_edge = EmbeddedGraph(vertices=((0, 0), (1, 0)), edges=())
@@ -101,19 +103,24 @@ def test_fkt_counts_nested_rings(centre):
     assert count_fkt(g) == count_profile_dp(g) == count_brute(g) == (0 if centre else 4)
 
 
+def test_empty_graph_has_one_matching():
+    assert count_fkt(EMPTY) == 1
+    assert count(EMPTY) == 1
+
+
 def test_fkt_imbalanced_returns_zero():
     path = EmbeddedGraph.from_points([(0, 0), (1, 0), (2, 0)])
     assert count_fkt(path) == 0
 
 
-@pytest.mark.parametrize("n", [*range(1, 7), 16, 24])
+@pytest.mark.parametrize("n", [*range(1, 7), 16, 24, 48])
 def test_fkt_matches_diamond_formula(n):
     assert count_fkt(dual_graph(build_aztec_diamond(n))) == aztec_diamond_value(n)
 
 
 @pytest.mark.parametrize("kind", QUARTER_KINDS)
 def test_fkt_matches_quarter_formula_past_the_sweep(kind):
-    assert count_fkt(dual_graph(build_quartered(32, kind))) == theorem1_value(kind, 32)
+    assert count_fkt(dual_graph(build_quartered(64, kind))) == theorem1_value(kind, 64)
 
 
 def test_fkt_balanced_without_perfect_matching_returns_zero():
@@ -206,6 +213,48 @@ def test_fkt_matches_profile_dp_on_placed_unit_square_graphs(missing, steps, del
     counted = count_fkt(g)
     assert type(counted) is int
     assert counted == count_profile_dp(g)
+
+
+# A 12x12 to 14x14 grid of points less a few 2x2 holes and single points: over 100 points,
+# so the dissection order splits it at least once before it reaches its 64-point leaves.
+holes = st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), max_size=4)
+single_points = st.lists(st.tuples(st.integers(0, 13), st.integers(0, 13)), max_size=6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(12, 14), st.integers(12, 14), holes, single_points, st.integers(0, 7),
+       st.integers(-9, 9), st.integers(-9, 9))
+def test_fkt_matches_profile_dp_on_dissected_grids(w, h, holes, deleted, k, dx, dy):
+    gone = {(i + a, j + b) for i, j in holes for a in (0, 1) for b in (0, 1)} | set(deleted)
+    points = [(i, j) for i in range(w) for j in range(h) if (i, j) not in gone]
+    # drop the last points of the larger colour class, so the matrix is square
+    evens = [p for p in points if sum(p) % 2 == 0]
+    odds = [p for p in points if sum(p) % 2 == 1]
+    surplus = set(evens[len(odds):] if len(evens) > len(odds) else odds[len(evens):])
+    sym = LATTICE_SYMMETRIES[k]
+    g = EmbeddedGraph.from_points(
+        (u + dx, v + dy) for u, v in (sym(*p) for p in points if p not in surplus)
+    )
+    assert len(g.vertices) > 100
+    assert count_fkt(g) == count_profile_dp(g)
+
+
+points_in_a_box = st.lists(
+    st.tuples(st.integers(-20, 20), st.integers(-20, 20)), unique=True, max_size=300
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(points_in_a_box)
+@example([])
+@example([(i, i) for i in range(200)])
+@example([(i, 7 - i) for i in range(200)])
+@example([(i, 3) for i in range(200)])
+@example([(i, j) for i in range(3) for j in range(100)])
+def test_dissection_order_is_a_permutation(points):
+    order = _dissection_order(sorted(points))
+    assert len(order) == len(points)
+    assert set(order) == set(points)
 
 
 @settings(max_examples=150, deadline=None)
