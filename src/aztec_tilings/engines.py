@@ -20,7 +20,7 @@ ENGINE_CHOICES = ("auto", "brute", "profile_dp", "fkt")
 BRUTE_VERTEX_LIMIT = 40
 PROFILE_STATE_LIMIT = 1 << 18
 AUTO_CROSSCHECK_BELOW = 24
-_LEAF_ASPECT = 25
+_LEAF_WIDTH = 4
 
 
 def count_brute(g: EmbeddedGraph) -> int:
@@ -197,24 +197,33 @@ def _dissection_order(points: list[Point]) -> list[Point]:
     A block splits across the longer of its u = x + y and v = x - y extents at
     an odd value next to the middle: that line's points are odd, so columns
     only, and no block runs short of rows for its pivots.  A block of at most
-    64 points (a smaller one costs more to split than it saves), or
-    _LEAF_ASPECT times as long as wide, is a leaf in band order along its
-    wider x/y axis.  Blocks keep input order, so they stay sorted.
+    64 points (a smaller one costs more to split than it saves) or at most
+    _LEAF_WIDTH wide (band order wins on such strips up to ~2000 long) is a
+    leaf in band order along its wider x/y axis.  Blocks keep input order, so
+    stay sorted, and wait on a stack, not the call stack: a split only halves
+    an extent, so blocks can nest deeper than Python's recursion limit.
     """
-    if not points:
-        return points
-    xs, ys = [x for x, _ in points], [y for _, y in points]
-    width, height = max(xs) - min(xs) + 1, max(ys) - min(ys) + 1
-    if len(points) <= 64 or max(width, height) >= _LEAF_ASPECT * min(width, height):
-        return sorted(points, key=lambda p: p[::-1]) if height > width else points
-    us, vs = [x + y for x, y in points], [x - y for x, y in points]
-    c = us if max(us) - min(us) >= max(vs) - min(vs) else vs
-    m = (min(c) + max(c)) // 2
-    m += 1 - m % 2
-    low, high, separator = [], [], []  # type: list[Point], list[Point], list[Point]
-    for p, t in zip(points, c):
-        (low if t < m else high if t > m else separator).append(p)
-    return _dissection_order(low) + _dissection_order(high) + separator
+    order: list[Point] = []  # built back to front
+    stack = [points]
+    while stack:
+        block = stack.pop()
+        if not block:
+            continue
+        xs, ys = [x for x, _ in block], [y for _, y in block]
+        width, height = max(xs) - min(xs) + 1, max(ys) - min(ys) + 1
+        if len(block) <= 64 or min(width, height) <= _LEAF_WIDTH:
+            order += reversed(sorted(block, key=lambda p: p[::-1]) if height > width else block)
+            continue
+        us, vs = [x + y for x, y in block], [x - y for x, y in block]
+        c = us if max(us) - min(us) >= max(vs) - min(vs) else vs
+        m = (min(c) + max(c)) // 2
+        m += 1 - m % 2
+        low, high, separator = [], [], []  # type: list[Point], list[Point], list[Point]
+        for p, t in zip(block, c):
+            (low if t < m else high if t > m else separator).append(p)
+        order += reversed(separator)
+        stack += [low, high]
+    return order[::-1]
 
 
 def count_fkt(g: EmbeddedGraph) -> int:

@@ -251,10 +251,20 @@ points_in_a_box = st.lists(
 @example([(i, 7 - i) for i in range(200)])
 @example([(i, 3) for i in range(200)])
 @example([(i, j) for i in range(3) for j in range(100)])
+@example([(i, j) for i in range(6) for j in range(50)])
 def test_dissection_order_is_a_permutation(points):
     order = _dissection_order(sorted(points))
     assert len(order) == len(points)
     assert set(order) == set(points)
+
+
+def test_count_survives_a_dissection_deeper_than_the_recursion_limit():
+    # dominoes at (2^k, 2^k) for k < 1100 beside an 8x10 grid: each split halves the
+    # extent and peels off one domino, so the blocks nest about 1100 deep
+    rectangle = EmbeddedGraph.from_points([(i, j) for i in range(8) for j in range(10)])
+    far = [(2**k + d, 2**k) for k in range(4, 1100) for d in (0, 1)]
+    g = EmbeddedGraph.from_points(list(rectangle.vertices) + far)
+    assert count(g) == count_profile_dp(rectangle)
 
 
 @settings(max_examples=150, deadline=None)
