@@ -11,7 +11,6 @@ from .errors import (
     FactorizationError,
     InvalidHolesError,
     InvalidOrderError,
-    InvalidPointError,
     TooLargeError,
 )
 from .factorize import (
@@ -26,7 +25,6 @@ from .formulas import (
     delta,
     lemma4_value,
     lemma5_value,
-    lemma6_check,
     lemma6_lhs,
     lemma6_rhs,
     theorem1_value,
@@ -34,7 +32,6 @@ from .formulas import (
 from .grids import (
     EmbeddedGraph,
     ReductionReport,
-    bipartite_imbalance,
     dual_graph,
     isomorphic_embedded,
     normalize,
@@ -54,7 +51,6 @@ from .regions import (
     congruent,
     set_A,
     set_B,
-    zigzag_side,
 )
 from .verify import run_all, run_suite
 
@@ -66,7 +62,6 @@ __all__ = [
     "FactorizationResult",
     "InvalidHolesError",
     "InvalidOrderError",
-    "InvalidPointError",
     "KLEIN_ABUT",
     "KLEIN_NONABUT",
     "PINWHEEL",
@@ -76,7 +71,6 @@ __all__ = [
     "TooLargeError",
     "apply_factorization",
     "aztec_diamond_value",
-    "bipartite_imbalance",
     "build_aztec_diamond",
     "build_aztec_rectangle",
     "build_holey_ar",
@@ -94,7 +88,6 @@ __all__ = [
     "isomorphic_embedded",
     "lemma4_value",
     "lemma5_value",
-    "lemma6_check",
     "lemma6_lhs",
     "lemma6_rhs",
     "normalize",
@@ -105,5 +98,4 @@ __all__ = [
     "set_B",
     "theorem1_value",
     "verify_factorization",
-    "zigzag_side",
 ]

@@ -123,7 +123,7 @@ def cmd_verify(args) -> int:
 def cmd_render(args) -> int:
     obj = _obtain(args)
     if args.format == "ascii":
-        out = render.ascii_region(obj) if isinstance(obj, Region) else render.ascii_graph(obj)
+        out = render.ascii_cells(obj.cells if isinstance(obj, Region) else obj.vertices)
     else:
         out = render.svg_region(obj) if isinstance(obj, Region) else render.svg_graph(obj)
     print(out)

@@ -54,35 +54,32 @@ def count_brute(g: EmbeddedGraph) -> int:
 def count_profile_dp(g: EmbeddedGraph) -> int:
     """Count perfect matchings by a broken-profile sweep.
 
-    Vertices are scanned column-major along the wider bounding-box axis,
-    so the profile covers the narrower one.  A state is a bitmask over
-    profile rows in which bit r = 1 means the frontier position in row r
-    is settled (covered, or not a vertex) and bit r = 0 means the vertex
-    there still needs its partner from the unscanned side.  More than
-    PROFILE_STATE_LIMIT live states raises TooLargeError.
+    Vertices are scanned column-major over the occupied columns, and the
+    profile covers the occupied rows, taken along the axis with fewer
+    occupied lines.  A state is a bitmask over profile rows in which bit
+    r = 1 means the frontier position in row r is settled (covered, or not
+    a vertex) and bit r = 0 means the vertex there still needs its partner
+    from the unscanned side.  Empty lines are skipped exactly: an edge
+    reaches back to column x-1 or row y-1 only if that line holds a
+    vertex, and then it is the line scanned just before.
+    More than PROFILE_STATE_LIMIT live states raises TooLargeError.
     """
     if not g.vertices:
         return 1
     pts = set(g.vertices)
     edge_set = set(g.edges)
-    xs = [x for x, _ in pts]
-    ys = [y for _, y in pts]
-    width = max(xs) - min(xs) + 1
-    height = max(ys) - min(ys) + 1
-    if height > width:
+    cols = sorted({x for x, _ in pts})
+    rows = sorted({y for _, y in pts})
+    if len(rows) > len(cols):
         pts = {(y, x) for x, y in pts}
         # transposing a unit step keeps its smaller point first
         edge_set = {((p[1], p[0]), (q[1], q[0])) for p, q in edge_set}
-        xs, ys = ys, xs
-        height = width
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo = min(ys)
-    full = (1 << height) - 1
+        cols, rows = rows, cols
+    full = (1 << len(rows)) - 1
 
     states = {full: 1}
-    for x in range(x_lo, x_hi + 1):
-        for r in range(height):
-            y = y_lo + r
+    for x in cols:
+        for r, y in enumerate(rows):
             bit = 1 << r
             here = (x, y) in pts
             takes_left = here and (x - 1, y) in pts and ((x - 1, y), (x, y)) in edge_set
@@ -109,7 +106,7 @@ def count_profile_dp(g: EmbeddedGraph) -> int:
                 return 0
             if len(states) > PROFILE_STATE_LIMIT:
                 raise TooLargeError(
-                    f"profile sweep exceeds {PROFILE_STATE_LIMIT} live states at width {height}"
+                    f"profile sweep exceeds {PROFILE_STATE_LIMIT} live states at width {len(rows)}"
                 )
     return states.get(full, 0)
 

@@ -9,10 +9,6 @@ class InvalidHolesError(ValueError):
     """Hole index set violates its size or range constraints."""
 
 
-class InvalidPointError(ValueError):
-    """Point is not a cell center (coordinates must be half-integers)."""
-
-
 class TooLargeError(ValueError):
     """Instance exceeds an engine's explicit size guard."""
 

@@ -107,7 +107,3 @@ def lemma6_rhs(n: int) -> Fraction:
     steps = [2 * j - 2 * i for i in range(1, n + 1) for j in range(1, n + 1)]
     return Fraction(_product([2 * n + 1 + d for d in steps]),
                     _product([2 * n - 1 + d for d in steps]))
-
-
-def lemma6_check(n: int) -> bool:
-    return lemma6_lhs(n) == lemma6_rhs(n)

@@ -182,14 +182,6 @@ def induced_subgraph(g: EmbeddedGraph, keep: set[Point]) -> EmbeddedGraph:
     )
 
 
-def bipartite_imbalance(g: EmbeddedGraph) -> int:
-    """#vertices with even x+y minus #vertices with odd x+y."""
-    bal = 0
-    for x, y in g.vertices:
-        bal += 1 if (x + y) % 2 == 0 else -1
-    return bal
-
-
 def normalize(g: EmbeddedGraph) -> EmbeddedGraph:
     """Canonical representative under the 8 lattice symmetries and translation."""
     if not g.vertices:

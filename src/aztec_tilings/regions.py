@@ -2,24 +2,25 @@
 
 Coordinate conventions, fixed once and validated by tiling counts:
 
-* Cell (i, j) is the unit square [i, i+1] x [j, j+1]; its center is at
-  (i + 1/2, j + 1/2), never on an integer line.
+* Cell (i, j) is the unit square [i, i+1] x [j, j+1]; its center
+  (i + 1/2, j + 1/2) is never on an integer line.  The cut is tested on the
+  doubled center (p, q) = (2i+1, 2j+1), a pair of odd integers.
 * The staircase cut Z descends rightward with 2-unit steps, corner points
-  (2k, 1-2k) and (2k, -1-2k); it passes next to the origin.  A point is on
-  the +1 side iff it lies above Z.
+  (2k, 1-2k) and (2k, -1-2k); it passes next to the origin.  A center is on
+  the +1 side iff it lies above Z, that is q > -2 - 4*floor(p/4).
 * Quarter selection: the pinwheel quarter is the north one (Z together
   with Z rotated 90 degrees); the Klein division superimposes Z and its
   mirror image in the y-axis, giving the north (non-abutting) and west
-  (abutting) quarters as representatives.
+  (abutting) quarters as representatives.  _QUARTER_KEEPS holds one side
+  test per quarter kind.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable
 
-from .errors import InvalidHolesError, InvalidOrderError, InvalidPointError
+from .errors import InvalidHolesError, InvalidOrderError
 from .grids import EmbeddedGraph, dual_graph, isomorphic_embedded, json_int_pairs
 
 Cell = tuple[int, int]
@@ -68,26 +69,14 @@ def _side_doubled(p: int, q: int) -> int:
     return 1 if q > -2 - 4 * (p // 4) else -1
 
 
-def zigzag_side(x, y) -> int:
-    """Side of the staircase cut for a cell-center point: +1 above, -1 below."""
-    fx, fy = Fraction(x), Fraction(y)
-    if fx.denominator != 2 or fy.denominator != 2:
-        raise InvalidPointError(f"({x}, {y}) is not a cell center")
-    return _side_doubled(fx.numerator, fy.numerator)
-
-
-def _side1(i: int, j: int) -> int:
-    return _side_doubled(2 * i + 1, 2 * j + 1)
-
-
-def _side2(i: int, j: int) -> int:
-    # test point rotated by -90 degrees: (x, y) -> (y, -x)
-    return _side_doubled(2 * j + 1, -(2 * i + 1))
-
-
-def _side3(i: int, j: int) -> int:
-    # test point mirrored in the y-axis: (x, y) -> (-x, y)
-    return _side_doubled(-(2 * i + 1), 2 * j + 1)
+# Which cells each division keeps, as a predicate on the doubled cell centre
+# (p, q) = (2i+1, 2j+1).  (q, -p) is the centre rotated by -90 degrees and
+# (-p, q) the centre mirrored in the y-axis.
+_QUARTER_KEEPS = {
+    PINWHEEL: lambda p, q: _side_doubled(p, q) > 0 and _side_doubled(q, -p) > 0,
+    KLEIN_ABUT: lambda p, q: _side_doubled(p, q) < 0 and _side_doubled(-p, q) > 0,
+    KLEIN_NONABUT: lambda p, q: _side_doubled(p, q) > 0 and _side_doubled(-p, q) > 0,
+}
 
 
 def build_aztec_diamond(n: int) -> Region:
@@ -104,25 +93,12 @@ def build_aztec_diamond(n: int) -> Region:
 def build_quartered(n: int, kind: str) -> Region:
     """One quarter of the order-n diamond under the chosen two-cut division."""
     _require_order(n)
-    if kind not in QUARTER_KINDS:
+    keep = _QUARTER_KEEPS.get(kind)
+    if keep is None:
         raise ValueError(f"unknown quarter kind {kind!r}")
-    picked = set()
-    for c in build_aztec_diamond(n).cells:
-        i, j = c
-        if kind == PINWHEEL:
-            keep = _side1(i, j) > 0 and _side2(i, j) > 0
-        elif kind == KLEIN_NONABUT:
-            keep = _side1(i, j) > 0 and _side3(i, j) > 0
-        else:
-            keep = _side1(i, j) < 0 and _side3(i, j) > 0
-        if keep:
-            picked.add(c)
+    cells = build_aztec_diamond(n).cells
+    picked = [c for c in cells if keep(2 * c[0] + 1, 2 * c[1] + 1)]
     return Region(cells=frozenset(picked), name=f"{kind}({n})")
-
-
-def rotate_cells_90(cells: Iterable[Cell]) -> frozenset[Cell]:
-    """Rotate a cell set 90 degrees counterclockwise about the origin."""
-    return frozenset((-j - 1, i) for i, j in cells)
 
 
 def congruent(r1: Region, r2: Region) -> bool:

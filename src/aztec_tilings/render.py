@@ -9,7 +9,7 @@ _SCALE = 20
 
 
 def ascii_cells(cells) -> str:
-    """'#' where a cell is present, '.' elsewhere, top row first."""
+    """'#' at each cell or vertex, '.' elsewhere on the bounding grid, top row first."""
     cells = set(cells)
     if not cells:
         return ""
@@ -19,15 +19,6 @@ def ascii_cells(cells) -> str:
     for j in range(max(ys), min(ys) - 1, -1):
         lines.append("".join("#" if (i, j) in cells else "." for i in range(min(xs), max(xs) + 1)))
     return "\n".join(lines)
-
-
-def ascii_region(region: Region) -> str:
-    return ascii_cells(region.cells)
-
-
-def ascii_graph(g: EmbeddedGraph) -> str:
-    """Vertices marked '#' on the bounding grid; edges are implicit."""
-    return ascii_cells(g.vertices)
 
 
 def svg_region(region: Region) -> str:

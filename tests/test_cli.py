@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
+import aztec_tilings
 from aztec_tilings import regions
+from aztec_tilings.grids import EmbeddedGraph
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -24,6 +26,13 @@ def run_cli(*args, stdin=None, timeout=None):
         env=env,
         timeout=timeout,
     )
+
+
+def test_public_names_resolve():
+    names = aztec_tilings.__all__
+    assert len(set(names)) == len(names)
+    for name in names:
+        assert hasattr(aztec_tilings, name), name
 
 
 def test_gen_diamond_order_8():
@@ -136,6 +145,12 @@ GEN_DIGESTS = [
      "de5afae2212d3169e9c296b98341f0bff3d0bee11c95843b34d176db20403a87"),
     (("ka", "--n", "10"),
      "4a7247ba1cb773db2c6f51e0716b9f7c59940b7fce07f8b567238565a684b360"),
+    (("r", "--n", "10"),
+     "974f10518dc709a171c7a782ffd40d3e5cb1755353d4095a79fec1ff04465456"),
+    (("kna", "--n", "10"),
+     "b6023041de9b8b1bf8a057dbe862f2033b73cc166da1150dff004c299be4d359"),
+    (("ad", "--n", "6"),
+     "1b9820e429f78cb482741d2680c4640997b1a0d80aeafe305c512337c4315d71"),
 ]
 
 
@@ -152,6 +167,15 @@ def test_count_region_with_holes_crosschecks():
     proc = run_cli("count", "--input", "-", "--crosscheck", stdin=json.dumps({"cells": cells}))
     assert proc.returncode == 0
     assert proc.stdout.strip() == "500"
+
+
+def test_count_crosscheck_skips_the_empty_columns_before_a_far_domino():
+    # a 4x6 grid and a domino 10^9 columns away: the sweep rechecks fkt over 26 points
+    points = [(x, y) for x in range(6) for y in range(4)] + [(10**9, 0), (10**9 + 1, 0)]
+    graph = json.dumps(EmbeddedGraph.from_points(points).to_json_dict())
+    proc = run_cli("count", "--input", "-", "--crosscheck", stdin=graph, timeout=10)
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "281"
 
 
 def test_count_crosscheck_past_the_sweep_budget_exits_2_naming_both_engines():

@@ -286,6 +286,31 @@ def holey_rectangles(draw, width, height):
     return cells - draw(st.frozensets(st.sampled_from(sorted(cells)), max_size=4))
 
 
+# Clusters side by side with 1 to 10^9 empty columns between them, shifted apart in y,
+# then turned by a lattice symmetry so the gaps may be rows: the sweep skips empty lines.
+far_clusters = st.lists(
+    st.tuples(holey_rectangles(4, 4), st.integers(0, 7), st.sampled_from((1, 2, 10**9)),
+              st.sampled_from((-(10**9), -2, 0, 1, 10**9))),
+    min_size=1, max_size=3,
+)
+TWO_FAR_DOMINOES = [({(0, 0), (1, 0)}, 0, 10**9, 0)] * 2
+
+
+@settings(max_examples=150, deadline=None)
+@given(far_clusters, st.integers(0, 7))
+@example(TWO_FAR_DOMINOES, 0)
+@example(TWO_FAR_DOMINOES, 1)
+def test_profile_dp_matches_fkt_on_sparse_point_sets(clusters, k):
+    points = set()
+    for cells, j, gap, dy in clusters:
+        moved = [LATTICE_SYMMETRIES[j](*p) for p in cells]
+        start = max((x for x, _ in points), default=0) + gap + 1
+        dx = start - min((u for u, _ in moved), default=0)
+        points |= {(u + dx, v + dy) for u, v in moved}
+    g = EmbeddedGraph.from_points(LATTICE_SYMMETRIES[k](*p) for p in points)
+    assert count_profile_dp(g) == count_fkt(g)
+
+
 @settings(max_examples=150, deadline=None)
 @given(holey_rectangles(6, 6), st.integers(0, 7), st.integers(-9, 9), st.integers(-9, 9))
 def test_count_is_unchanged_by_a_lattice_symmetry_and_translation(cells, k, dx, dy):

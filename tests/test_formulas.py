@@ -14,7 +14,6 @@ from aztec_tilings.formulas import (
     delta,
     lemma4_value,
     lemma5_value,
-    lemma6_check,
     lemma6_lhs,
     lemma6_rhs,
     theorem1_value,
@@ -208,12 +207,12 @@ def test_delta_values():
 def test_difference_product_ratio():
     assert lemma6_lhs(1) == 3 == lemma6_rhs(1)
     assert lemma6_lhs(2) == Fraction(35, 3) == lemma6_rhs(2)
-    assert lemma6_check(30)
+    assert lemma6_lhs(30) == lemma6_rhs(30)
 
 
 @pytest.mark.parametrize("n", range(1, 51))
 def test_ratio_identity_up_to_50(n):
-    assert lemma6_check(n)
+    assert lemma6_lhs(n) == lemma6_rhs(n)
 
 
 @pytest.mark.parametrize("which", LEMMA1_IDS)

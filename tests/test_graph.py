@@ -6,7 +6,6 @@ from aztec_tilings.engines import count_brute
 from aztec_tilings.grids import (
     EmbeddedGraph,
     LATTICE_SYMMETRIES,
-    bipartite_imbalance,
     connected_components,
     dual_graph,
     induced_subgraph,
@@ -198,6 +197,10 @@ def thinned_grid_graphs(draw):
 def test_reduce_forced_matches_the_rescan_reference(g):
     report = reduce_forced(g)
     assert (report.reduced, report.forced_pairs, report.infeasible) == rescan_reduce_forced(g)
+
+
+def bipartite_imbalance(g):
+    return sum(1 if (x + y) % 2 == 0 else -1 for x, y in g.vertices)
 
 
 def test_imbalance_values():

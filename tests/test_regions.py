@@ -1,10 +1,8 @@
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aztec_tilings.errors import InvalidHolesError, InvalidOrderError, InvalidPointError
+from aztec_tilings.errors import InvalidHolesError, InvalidOrderError
 from aztec_tilings.grids import LATTICE_SYMMETRIES, dual_graph
 from aztec_tilings.engines import count_brute
 from aztec_tilings.regions import (
@@ -14,6 +12,7 @@ from aztec_tilings.regions import (
     PINWHEEL,
     QUARTER_KINDS,
     Region,
+    _side_doubled,
     build_aztec_diamond,
     build_aztec_rectangle,
     build_holey_ar,
@@ -21,11 +20,14 @@ from aztec_tilings.regions import (
     build_quartered,
     bottom_row_points,
     congruent,
-    rotate_cells_90,
     set_A,
     set_B,
-    zigzag_side,
 )
+
+
+def rotate_cells_90(cells):
+    # 90 degrees counterclockwise about the origin
+    return frozenset((-j - 1, i) for i, j in cells)
 
 
 def test_diamond_order_1_is_the_2x2_block():
@@ -63,18 +65,12 @@ def test_orders_stop_at_the_limit():
             build(MAX_ORDER + 1)
 
 
-def test_zigzag_side_examples():
-    assert zigzag_side(0.5, 0.5) == 1
-    assert zigzag_side(-0.5, 0.5) == -1
-    assert zigzag_side(2.5, -1.5) == 1
-    assert zigzag_side(Fraction(5, 2), Fraction(-3, 2)) == 1
-
-
-def test_zigzag_side_rejects_non_centers():
-    with pytest.raises(InvalidPointError):
-        zigzag_side(1, 0.5)
-    with pytest.raises(InvalidPointError):
-        zigzag_side(0.25, 0.5)
+def test_side_doubled_examples():
+    # doubled cell centres: (1, 1) is the centre (0.5, 0.5) of cell (0, 0)
+    assert _side_doubled(1, 1) == 1
+    assert _side_doubled(-1, 1) == -1
+    assert _side_doubled(5, -3) == 1
+    assert _side_doubled(3, -3) == -1
 
 
 def test_pinwheel_quarter_order_3():
