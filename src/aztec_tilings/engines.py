@@ -2,7 +2,8 @@
 
 All engines return exact Python ints; no floating point enters any
 counting path.  `count_brute` is the definition-level oracle, the
-determinant method counts every grid graph in polynomial time and is what
+determinant method (division-free +-1 pivots, then Bareiss on the few
+columns left) counts every grid graph in polynomial time and is what
 "auto" runs, and the broken-profile sweep, exponential only in the
 narrower side and bounded by a live-state budget, rechecks it.  Each
 engine can recheck the others.  `fkt_supported` is on no counting path:
@@ -114,6 +115,47 @@ def count_profile_dp(g: EmbeddedGraph) -> int:
 def _abs_det(rows: list[dict[int, int]]) -> int:
     """|det| of a square matrix as sparse rows (column -> nonzero entry), consumed.
 
+    One pass over the columns clears each that has a +-1 entry u, in its lowest
+    such row p: every other row with an entry h there takes row -= h*u*row_p,
+    which keeps det, touches only row p's columns and divides by nothing; row p
+    and the column then leave, taking a factor +-u.  Every entry left is +- a
+    minor of the input, as the pivots' block has det +-1.  A column with no +-1
+    holder waits for `_bareiss`; one with no holder at all makes det 0.
+    """
+    holders: list[set[int]] = [set() for _ in rows]  # column -> rows with an entry
+    for i, row in enumerate(rows):
+        for j in row:
+            holders[j].add(i)
+    waiting = []
+    for k, live in enumerate(holders):
+        if not live:
+            return 0
+        p = min((i for i in live if rows[i][k] in (1, -1)), default=None)
+        if p is None:
+            waiting.append(k)
+            continue
+        prow = rows[p]
+        for j in prow:  # live is holders[k], so p leaves it too
+            holders[j].discard(p)
+        u = prow.pop(k)
+        for i in live:
+            row = rows[i]
+            f = row.pop(k) * u
+            for j, w in prow.items():
+                v = row.pop(j, 0) - f * w
+                if v:
+                    row[j] = v
+                    holders[j].add(i)
+                else:
+                    holders[j].discard(i)
+        prow.clear()  # row p is done: free its entries
+    return _bareiss(rows, holders, waiting)
+
+
+def _bareiss(rows: list[dict[int, int]], holders: list[set[int]], columns: list[int]) -> int:
+    """|det| of the square block of `rows` on `columns`, which it consumes.
+
+    holders[k] holds the rows with an entry in column k; no other row is read.
     Fraction-free (Bareiss) elimination, column by column: column k's pivot
     is the lowest remaining row with an entry there, and only rows with an
     entry in column k are updated.  Other rows stay stale: s = stamp[i] is
@@ -124,13 +166,10 @@ def _abs_det(rows: list[dict[int, int]]) -> int:
     entries, dropping those that cancel, then gains the fill -head*w / s (never
     zero) in the pivot row's other columns.  |det| needs no pivot sign.
     """
-    holders: list[set[int]] = [set() for _ in rows]  # column -> rows with an entry
-    for i, row in enumerate(rows):
-        for j in row:
-            holders[j].add(i)
     stamp = [1] * len(rows)
     prev = 1
-    for k, live in enumerate(holders):
+    for k in columns:
+        live = holders[k]
         if not live:
             return 0
         p = min(live)
@@ -245,6 +284,8 @@ def count_fkt(g: EmbeddedGraph) -> int:
     count.  Rows and columns both follow `_dissection_order`, which keeps
     the elimination's fill in each block and its separator; reordering rows
     or columns only flips the sign of det, so |det| is the same in any order.
+    `_abs_det` pivots on a +-1 entry wherever one is left, so Bareiss runs
+    only on a small tail: n columns on ad(n), 27 of 2328 on r(96).
     """
     evens = [p for p in g.vertices if (p[0] + p[1]) % 2 == 0]
     odds = [p for p in g.vertices if (p[0] + p[1]) % 2 == 1]

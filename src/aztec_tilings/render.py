@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from .errors import TooLargeError
 from .grids import EmbeddedGraph
 from .regions import Region
 
 _SCALE = 20
+# An ASCII picture draws its whole bounding box; a larger box raises TooLargeError.
+ASCII_MAX_POSITIONS = 10**6
 
 
 def ascii_cells(cells) -> str:
@@ -15,6 +18,9 @@ def ascii_cells(cells) -> str:
         return ""
     xs = [i for i, _ in cells]
     ys = [j for _, j in cells]
+    width, height = max(xs) - min(xs) + 1, max(ys) - min(ys) + 1
+    if width * height > ASCII_MAX_POSITIONS:
+        raise TooLargeError(f"ascii box {width} x {height} exceeds {ASCII_MAX_POSITIONS} positions")
     lines = []
     for j in range(max(ys), min(ys) - 1, -1):
         lines.append("".join("#" if (i, j) in cells else "." for i in range(min(xs), max(xs) + 1)))

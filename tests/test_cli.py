@@ -244,3 +244,26 @@ def test_render_ascii_and_svg():
     rendered = run_cli("render", "--input", "-", "--format", "svg", stdin=piped.stdout)
     assert rendered.returncode == 0
     assert rendered.stdout.startswith("<svg")
+
+
+def test_render_ascii_of_a_far_domino_exits_2_before_drawing():
+    # a 4x6 grid and a domino 10^9 columns away: the picture would be about 4 GB of dots
+    points = [(x, y) for x in range(6) for y in range(4)] + [(10**9, 0), (10**9 + 1, 0)]
+    graph = json.dumps(EmbeddedGraph.from_points(points).to_json_dict())
+    proc = run_cli("render", "--input", "-", "--format", "ascii", stdin=graph, timeout=10)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.strip() == "ascii box 1000000002 x 4 exceeds 1000000 positions"
+    svg = run_cli("render", "--input", "-", "--format", "svg", stdin=graph, timeout=10)
+    assert svg.returncode == 0
+
+
+def test_render_ascii_draws_a_box_of_exactly_the_limit():
+    from aztec_tilings.errors import TooLargeError
+    from aztec_tilings.render import ASCII_MAX_POSITIONS, ascii_cells
+
+    assert ASCII_MAX_POSITIONS == 1000 * 1000
+    art = ascii_cells([(0, 0), (999, 999)])
+    assert len(art) == 1000 * 1000 + 999
+    with pytest.raises(TooLargeError):
+        ascii_cells([(0, 0), (1000, 999)])

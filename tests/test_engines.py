@@ -113,9 +113,27 @@ def test_fkt_imbalanced_returns_zero():
     assert count_fkt(path) == 0
 
 
-@pytest.mark.parametrize("n", [*range(1, 7), 16, 24, 48])
-def test_fkt_matches_diamond_formula(n):
+@pytest.fixture
+def tail_sizes(monkeypatch):
+    """The order of each matrix that `_abs_det` hands on to its Bareiss tail."""
+    from aztec_tilings import engines as eng
+
+    sizes = []
+    bareiss = eng._bareiss
+
+    def recording(rows, holders, columns):
+        sizes.append(len(columns))
+        return bareiss(rows, holders, columns)
+
+    monkeypatch.setattr(eng, "_bareiss", recording)
+    return sizes
+
+
+@pytest.mark.parametrize("n", [*range(1, 13), 16, 24, 48])
+def test_fkt_matches_diamond_formula(n, tail_sizes):
+    # every column but n finds a +-1 pivot, so Bareiss runs on an order-n tail
     assert count_fkt(dual_graph(build_aztec_diamond(n))) == aztec_diamond_value(n)
+    assert tail_sizes == [n]
 
 
 @pytest.mark.parametrize("kind", QUARTER_KINDS)
@@ -161,13 +179,18 @@ def _leibniz_det(m):
     return total
 
 
-def test_abs_det_matches_leibniz_on_sparse_matrices():
+def _sparse(m):
+    return [{j: v for j, v in enumerate(r) if v} for r in m]
+
+
+def test_abs_det_matches_leibniz_on_sparse_matrices(tail_sizes):
     # zero leading entries force later pivot rows; small entries make cancellations.  A
     # duplicated or summed row makes the matrix singular: some update cancels to zero, and a
     # column can empty mid-elimination after rows went stale under a pivot other than 1.
+    # Mixed entries split the work: the unit phase clears some columns, the tail the rest.
     assert _abs_det([]) == 1
     rng = random.Random(90125)
-    singular = 0
+    singular = split = 0
     for _ in range(400):
         n = rng.randint(1, 7)
         m = [[rng.choice((0, 0, 0, 1, -1, 2, -3)) for _ in range(n)] for _ in range(n)]
@@ -175,11 +198,55 @@ def test_abs_det_matches_leibniz_on_sparse_matrices():
             a, b = rng.sample(range(n), 2)
             c = rng.choice([i for i in range(n) if i != a])
             m[a] = list(m[b]) if b == c else [x + y for x, y in zip(m[b], m[c])]
-        rows = [{j: v for j, v in enumerate(r) if v} for r in m]
         det = _leibniz_det(m)
         singular += det == 0
-        assert _abs_det(rows) == abs(det)
+        tail_sizes.clear()
+        assert _abs_det(_sparse(m)) == abs(det)
+        split += bool(tail_sizes) and 0 < tail_sizes[0] < n
     assert singular > 100
+    assert split > 100
+
+
+def test_abs_det_without_unit_entries_runs_only_the_tail(tail_sizes):
+    # No entry is +-1, so no column has a unit pivot and the whole matrix waits for Bareiss,
+    # unless a copied row left a column with no entry at all, which is det 0 at once.
+    rng = random.Random(4711)
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        m = [[rng.choice((0, 0, 2, -2, 3, -4)) for _ in range(n)] for _ in range(n)]
+        for i in range(n):
+            m[i][i] = rng.choice((2, -3, 4))
+        if n > 1 and rng.random() < 0.3:
+            a, b = rng.sample(range(n), 2)
+            m[a] = list(m[b])
+        tail_sizes.clear()
+        assert _abs_det(_sparse(m)) == abs(_leibniz_det(m))
+        assert tail_sizes == ([n] if all(any(col) for col in zip(*m)) else [])
+
+
+def test_abs_det_unit_phase_clears_unit_triangular_products(tail_sizes):
+    # L*U with +-1 diagonals: each Schur complement is again such a product, so every column
+    # in turn finds a +-1 pivot and the tail is empty, while the updates fill in and cancel.
+    rng = random.Random(2718)
+    for _ in range(200):
+        n = rng.randint(1, 7)
+        low = [[rng.choice((1, -1)) if i == j else rng.choice((0, 0, 1, -1, 2)) if i > j else 0
+                for j in range(n)] for i in range(n)]
+        up = [[rng.choice((1, -1)) if i == j else rng.choice((0, 0, 1, -1, 2)) if i < j else 0
+               for j in range(n)] for i in range(n)]
+        m = [[sum(low[i][t] * up[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
+        tail_sizes.clear()
+        assert _abs_det(_sparse(m)) == abs(_leibniz_det(m)) == 1
+        assert tail_sizes == [0]
+
+
+def test_abs_det_column_emptied_by_the_unit_phase_is_zero(tail_sizes):
+    # Rows 0 and 1 agree in columns 0 and 1, so clearing column 0 with row 0 cancels row 1's
+    # entry in column 1, and column 1 is left with no holder before the tail can run.
+    m = [[1, 1, 0], [1, 1, 2], [0, 0, 1]]
+    assert _leibniz_det(m) == 0
+    assert _abs_det(_sparse(m)) == 0
+    assert tail_sizes == []
 
 
 # The unit squares inside [0, 4] x [0, 4] but some left out, extra unit steps that may
