@@ -54,43 +54,37 @@ class FactorizationReport:
         return self.m_g == (1 << self.w) * self.m_plus * self.m_minus
 
 
-def _reflect(slope: int, offset: int, p: Point) -> Point:
-    x, y = p
-    if slope == SLOPE_UP:
-        return (y - offset, x + offset)
-    return (offset - y, offset - x)
-
-
-def _diag_value(slope: int, p: Point) -> int:
-    # on the axis iff this equals the offset
-    return p[1] - p[0] if slope == SLOPE_UP else p[0] + p[1]
-
-
 def _axis_if_valid(g: EmbeddedGraph, slope: int) -> DiagonalAxis | None:
-    pts = set(g.vertices)
-    vals = [_diag_value(slope, p) for p in g.vertices]
+    vs, es = g.vertices, g.edges
+    # A point is on the axis iff its diagonal value equals the offset c.
+    vals = [y - x for x, y in vs] if slope == SLOPE_UP else [x + y for x, y in vs]
     total = min(vals) + max(vals)
     if total % 2:
         return None
-    offset = total // 2
-    if any(_reflect(slope, offset, p) not in pts for p in pts):
+    c = total // 2
+    # Reflect in the axis.  A unit step's image under a slope +1 reflection keeps
+    # its smaller point first; under a slope -1 reflection the two points swap.
+    if slope == SLOPE_UP:
+        images = ((y - c, x + c) for x, y in vs)
+        edge_images = (((py - c, px + c), (qy - c, qx + c)) for (px, py), (qx, qy) in es)
+    else:
+        images = ((c - y, c - x) for x, y in vs)
+        edge_images = (((c - qy, c - qx), (c - py, c - px)) for (px, py), (qx, qy) in es)
+    if not set(vs).issuperset(images) or not set(es).issuperset(edge_images):
         return None
-    pairs = set(g.edges)
-    # A unit step's image under a slope +1 reflection keeps its smaller point
-    # first; under a slope -1 reflection the two points swap.
-    for p, q in pairs:
-        a, b = _reflect(slope, offset, p), _reflect(slope, offset, q)
-        if ((a, b) if slope == SLOPE_UP else (b, a)) not in pairs:
-            return None
-    on_axis = sorted(p for p in pts if _diag_value(slope, p) == offset)
+    on_axis = tuple(p for p, v in zip(vs, vals) if v == c)
     for a, b in zip(on_axis, on_axis[1:]):
         if b[0] != a[0] + 1:
             return None
-    return DiagonalAxis(slope=slope, offset=offset, on_axis=tuple(on_axis))
+    return DiagonalAxis(slope=slope, offset=c, on_axis=on_axis)
 
 
 def find_diagonal_axis(g: EmbeddedGraph) -> DiagonalAxis | None:
-    """Smallest valid diagonal symmetry axis, slope +1 preferred, or None."""
+    """A valid diagonal symmetry axis, slope +1 preferred, or None.
+
+    Each slope has at most one candidate: the axis must run midway between
+    the extreme diagonals, so its offset is fixed by the vertices.
+    """
     if not g.vertices:
         return None
     for slope in (SLOPE_UP, SLOPE_DOWN):
@@ -111,7 +105,11 @@ def apply_factorization(g: EmbeddedGraph, axis: DiagonalAxis) -> FactorizationRe
     check = _axis_if_valid(g, axis.slope)
     if check is None or check != axis:
         raise FactorizationError("axis is not a valid symmetry axis for this graph")
-    plus_pts = {p for p in g.vertices if _diag_value(axis.slope, p) > axis.offset}
+    c = axis.offset
+    if axis.slope == SLOPE_UP:
+        plus_pts = {p for p in g.vertices if p[1] - p[0] > c}
+    else:
+        plus_pts = {p for p in g.vertices if p[0] + p[1] > c}
     plus_pts.update(axis.on_axis[::2])
     return FactorizationResult(
         g_plus=induced_subgraph(g, plus_pts),

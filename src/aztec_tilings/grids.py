@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from operator import itemgetter, lt
 from typing import Iterable, Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -30,6 +31,9 @@ LATTICE_SYMMETRIES = (
     lambda x, y: (-y, -x),
 )
 
+# An edge (p, q) steps from its smaller point p to q by one of these.
+_UNIT_STEPS = {(1, 0), (0, 1)}
+
 
 @dataclass(frozen=True)
 class EmbeddedGraph:
@@ -40,15 +44,19 @@ class EmbeddedGraph:
 
     def __post_init__(self) -> None:
         vs, es = self.vertices, self.edges
-        if any(a >= b for a, b in zip(vs, vs[1:])):
+        if not all(map(lt, vs, vs[1:])):
             raise ValueError("vertices must be sorted and distinct")
-        if any(a >= b for a, b in zip(es, es[1:])):
+        if not all(map(lt, es, es[1:])):
             raise ValueError("edges must be sorted and distinct")
         points = set(vs)
+        if (points.issuperset(map(itemgetter(0), es)) and points.issuperset(map(itemgetter(1), es))
+                and {(q[0] - p[0], q[1] - p[1]) for p, q in es} <= _UNIT_STEPS):
+            return
+        # Some edge is bad: find the first one to name it.
         for p, q in es:
             if p not in points or q not in points:
                 raise ValueError(f"edge endpoint {p}-{q} is not a vertex")
-            if (q[0] - p[0], q[1] - p[1]) not in ((1, 0), (0, 1)):
+            if (q[0] - p[0], q[1] - p[1]) not in _UNIT_STEPS:
                 raise ValueError(f"edge {p}-{q} is not a unit step from its smaller point")
 
     @classmethod
@@ -80,7 +88,8 @@ class EmbeddedGraph:
                 if p is None or q is None:
                     raise ValueError(f"edge endpoint {a}-{b} is not a vertex")
                 es.add((p, q) if p < q else (q, p))
-        return cls(vertices=vs, edges=tuple(sorted(es)))
+        # Unit-neighbor edges come out sorted: p ascends, and (x, y+1) < (x+1, y).
+        return cls(vertices=vs, edges=tuple(es) if pairs is None else tuple(sorted(es)))
 
     def __len__(self) -> int:
         return len(self.vertices)

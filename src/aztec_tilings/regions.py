@@ -7,18 +7,19 @@ Coordinate conventions, fixed once and validated by tiling counts:
   doubled center (p, q) = (2i+1, 2j+1), a pair of odd integers.
 * The staircase cut Z descends rightward with 2-unit steps, corner points
   (2k, 1-2k) and (2k, -1-2k); it passes next to the origin.  A center is on
-  the +1 side iff it lies above Z, that is q > -2 - 4*floor(p/4).
+  the +1 side iff it lies above Z, that is q > -2 - 4*floor(p/4).  So in
+  column i the cells above Z are those with j >= -1 - 2*floor((2i+1)/4).
 * Quarter selection: the pinwheel quarter is the north one (Z together
   with Z rotated 90 degrees); the Klein division superimposes Z and its
   mirror image in the y-axis, giving the north (non-abutting) and west
-  (abutting) quarters as representatives.  _QUARTER_KEEPS holds one side
-  test per quarter kind.
+  (abutting) quarters as representatives.  Each quarter keeps one run of
+  j per column i, and _QUARTER_KEEPS holds its bounds per quarter kind.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import InvalidHolesError, InvalidOrderError
 from .grids import EmbeddedGraph, dual_graph, isomorphic_embedded, json_int_pairs
@@ -63,42 +64,42 @@ def _span(i: int) -> int:
     return i + 1 if i >= 0 else -i
 
 
-def _side_doubled(p: int, q: int) -> int:
-    # Cut predicate on doubled coordinates (p, q) = (2x, 2y), both odd.
-    # Above the staircase means y > -1 - 2*floor(x/2).
-    return 1 if q > -2 - 4 * (p // 4) else -1
+def _columns(n: int) -> Iterator[tuple[int, int]]:
+    # (i, rest): column i of the order-n diamond holds the cells j in [-rest, rest)
+    return ((i, n + 1 - _span(i)) for i in range(-n, n))
 
 
-# Which cells each division keeps, as a predicate on the doubled cell centre
-# (p, q) = (2i+1, 2j+1).  (q, -p) is the centre rotated by -90 degrees and
-# (-p, q) the centre mirrored in the y-axis.
+def _lo(i: int) -> int:
+    # smallest j whose cell (i, j) lies above the staircase cut
+    return -1 - 2 * ((2 * i + 1) // 4)
+
+
+# The run [start, stop) of j that each division keeps in column i, clipped to
+# the diamond's column [-rest, rest).  Column -i-1 is column i mirrored in the
+# y-axis, and j >= 2*floor((i+1)/2) is the north quarter's side of Z rotated by
+# 90 degrees.
 _QUARTER_KEEPS = {
-    PINWHEEL: lambda p, q: _side_doubled(p, q) > 0 and _side_doubled(q, -p) > 0,
-    KLEIN_ABUT: lambda p, q: _side_doubled(p, q) < 0 and _side_doubled(-p, q) > 0,
-    KLEIN_NONABUT: lambda p, q: _side_doubled(p, q) > 0 and _side_doubled(-p, q) > 0,
+    PINWHEEL: lambda i, rest: (max(_lo(i), 2 * ((i + 1) // 2), -rest), rest),
+    KLEIN_ABUT: lambda i, rest: (max(_lo(-i - 1), -rest), min(_lo(i), rest)),
+    KLEIN_NONABUT: lambda i, rest: (max(_lo(i), _lo(-i - 1), -rest), rest),
 }
 
 
 def build_aztec_diamond(n: int) -> Region:
     """Diamond of order n: cells whose corners (x, y) all satisfy |x|+|y| <= n+1."""
     _require_order(n)
-    cells = set()
-    for i in range(-n, n):
-        rest = n + 1 - _span(i)
-        for j in range(-rest, rest):
-            cells.add((i, j))
-    return Region(cells=frozenset(cells), name=f"ad({n})")
+    cells = frozenset((i, j) for i, rest in _columns(n) for j in range(-rest, rest))
+    return Region(cells=cells, name=f"ad({n})")
 
 
 def build_quartered(n: int, kind: str) -> Region:
     """One quarter of the order-n diamond under the chosen two-cut division."""
     _require_order(n)
-    keep = _QUARTER_KEEPS.get(kind)
-    if keep is None:
+    bounds = _QUARTER_KEEPS.get(kind)
+    if bounds is None:
         raise ValueError(f"unknown quarter kind {kind!r}")
-    cells = build_aztec_diamond(n).cells
-    picked = [c for c in cells if keep(2 * c[0] + 1, 2 * c[1] + 1)]
-    return Region(cells=frozenset(picked), name=f"{kind}({n})")
+    cells = frozenset((i, j) for i, rest in _columns(n) for j in range(*bounds(i, rest)))
+    return Region(cells=cells, name=f"{kind}({n})")
 
 
 def congruent(r1: Region, r2: Region) -> bool:

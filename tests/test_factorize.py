@@ -59,6 +59,22 @@ def test_no_axis_for_horizontal_domino():
     assert find_diagonal_axis(EmbeddedGraph.from_points([(0, 0), (1, 0)])) is None
 
 
+def test_no_axis_when_only_the_vertices_are_symmetric():
+    # the vertex set is symmetric about both diagonals, the edge set about neither
+    g = EmbeddedGraph(vertices=FOUR_CYCLE.vertices, edges=FOUR_CYCLE.edges[1:])
+    assert find_diagonal_axis(g) is None
+
+
+def test_axis_of_slope_minus_1_only():
+    # a 2x2 block with a bump on two sides, mirrored across x + y = 8 alone
+    g = EmbeddedGraph.from_points([(3, 5), (2, 5), (3, 6), (2, 6), (1, 6), (2, 7)])
+    axis = find_diagonal_axis(g)
+    assert axis == DiagonalAxis(slope=-1, offset=8, on_axis=((2, 6), (3, 5)))
+    result = apply_factorization(g, axis)
+    assert set(result.g_plus.vertices) == {(3, 6), (2, 7), (2, 6)}
+    assert set(result.g_minus.vertices) == {(2, 5), (1, 6), (3, 5)}
+
+
 def test_factorize_4_cycle():
     result = apply_factorization(FOUR_CYCLE, find_diagonal_axis(FOUR_CYCLE))
     assert result.w == 1
@@ -99,14 +115,24 @@ def test_halves_match_quartered_duals(name, builder, plus_kind, minus_kind, orde
 @pytest.mark.parametrize("n", (1, 2, 3))
 @pytest.mark.parametrize("name,builder,plus_kind,minus_kind,order", SPLIT_TABLE)
 def test_halves_are_the_two_sides_of_the_axis(name, builder, plus_kind, minus_kind, order, n, k):
+    # placed by a lattice symmetry, then shifted by (k, -3) so the offset's parity varies too
     sym = LATTICE_SYMMETRIES[k]
+
+    def place(p):
+        x, y = sym(*p)
+        return (x + k, y - 3)
+
     base = builder(n)
     g = EmbeddedGraph.from_points(
-        [sym(*p) for p in base.vertices],
-        [(sym(*p), sym(*q)) for p, q in base.point_pairs()],
+        [place(p) for p in base.vertices],
+        [(place(p), place(q)) for p, q in base.point_pairs()],
     )
     axis = find_diagonal_axis(g)
+    assert axis is not None and axis.w == n
     result = apply_factorization(g, axis)
+    quarters = [dual_graph(build_quartered(order(n), kind)) for kind in (plus_kind, minus_kind)]
+    assert any(isomorphic_embedded(result.g_plus, a) and isomorphic_embedded(result.g_minus, b)
+               for a, b in (quarters, quarters[::-1]))
     plus, minus = set(result.g_plus.vertices), set(result.g_minus.vertices)
     assert plus | minus == set(g.vertices) and not plus & minus
     for half, pts in ((result.g_plus, plus), (result.g_minus, minus)):

@@ -12,7 +12,6 @@ from aztec_tilings.regions import (
     PINWHEEL,
     QUARTER_KINDS,
     Region,
-    _side_doubled,
     build_aztec_diamond,
     build_aztec_rectangle,
     build_holey_ar,
@@ -23,6 +22,22 @@ from aztec_tilings.regions import (
     set_A,
     set_B,
 )
+
+
+def _side_doubled(p, q):
+    # Cut predicate on doubled coordinates (p, q) = (2x, 2y), both odd.
+    # Above the staircase means y > -1 - 2*floor(x/2).
+    return 1 if q > -2 - 4 * (p // 4) else -1
+
+
+# The definition of each quarter: a predicate on the doubled cell centre
+# (p, q) = (2i+1, 2j+1).  (q, -p) is the centre rotated by -90 degrees and
+# (-p, q) the centre mirrored in the y-axis.
+QUARTER_ORACLE = {
+    PINWHEEL: lambda p, q: _side_doubled(p, q) > 0 and _side_doubled(q, -p) > 0,
+    KLEIN_ABUT: lambda p, q: _side_doubled(p, q) < 0 and _side_doubled(-p, q) > 0,
+    KLEIN_NONABUT: lambda p, q: _side_doubled(p, q) > 0 and _side_doubled(-p, q) > 0,
+}
 
 
 def rotate_cells_90(cells):
@@ -71,6 +86,15 @@ def test_side_doubled_examples():
     assert _side_doubled(-1, 1) == -1
     assert _side_doubled(5, -3) == 1
     assert _side_doubled(3, -3) == -1
+
+
+# Every residue of n mod 4 at three scales, up to MAX_ORDER.
+@pytest.mark.parametrize("n", [*range(1, 65), *range(128, 132), *range(MAX_ORDER - 3, MAX_ORDER + 1)])
+def test_quarters_match_the_cut_predicates(n):
+    diamond = build_aztec_diamond(n).cells
+    for kind, keep in QUARTER_ORACLE.items():
+        expected = {c for c in diamond if keep(2 * c[0] + 1, 2 * c[1] + 1)}
+        assert build_quartered(n, kind).cells == expected, kind
 
 
 def test_pinwheel_quarter_order_3():
