@@ -10,10 +10,12 @@ counts multiply:  M(G) = 2^w * M(G+) * M(G-), with 2w on-axis vertices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from operator import add, sub
 
 from .engines import count
 from .errors import FactorizationError
-from .grids import EmbeddedGraph, Point, induced_subgraph
+from .grids import EmbeddedGraph, Point, _coords, _maps_onto, induced_subgraph
 
 SLOPE_UP = 1
 SLOPE_DOWN = -1
@@ -55,24 +57,15 @@ class FactorizationReport:
 
 
 def _axis_if_valid(g: EmbeddedGraph, slope: int) -> DiagonalAxis | None:
-    vs, es = g.vertices, g.edges
-    # A point is on the axis iff its diagonal value equals the offset c.
-    vals = [y - x for x, y in vs] if slope == SLOPE_UP else [x + y for x, y in vs]
-    total = min(vals) + max(vals)
-    if total % 2:
+    # The reflection in y = x + c is the swap (x, y) -> (y - c, x + c), and the one in
+    # x + y = c is (x, y) -> (c - y, c - x).  Mapping g onto itself, either one maps
+    # the leftmost column onto the lowest row, which fixes c.
+    if not next(_maps_onto(g, g, [(True, slope, slope)])):
         return None
-    c = total // 2
-    # Reflect in the axis.  A unit step's image under a slope +1 reflection keeps
-    # its smaller point first; under a slope -1 reflection the two points swap.
-    if slope == SLOPE_UP:
-        images = ((y - c, x + c) for x, y in vs)
-        edge_images = (((py - c, px + c), (qy - c, qx + c)) for (px, py), (qx, qy) in es)
-    else:
-        images = ((c - y, c - x) for x, y in vs)
-        edge_images = (((c - qy, c - qx), (c - py, c - px)) for (px, py), (qx, qy) in es)
-    if not set(vs).issuperset(images) or not set(es).issuperset(edge_images):
-        return None
-    on_axis = tuple(p for p, v in zip(vs, vals) if v == c)
+    xs, ys = _coords(g.vertices)
+    c = min(ys) - xs[0] if slope == SLOPE_UP else min(ys) + xs[-1]
+    diagonal = map(sub, ys, xs) if slope == SLOPE_UP else map(add, xs, ys)
+    on_axis = tuple(compress(g.vertices, map(c.__eq__, diagonal)))
     for a, b in zip(on_axis, on_axis[1:]):
         if b[0] != a[0] + 1:
             return None
@@ -82,8 +75,8 @@ def _axis_if_valid(g: EmbeddedGraph, slope: int) -> DiagonalAxis | None:
 def find_diagonal_axis(g: EmbeddedGraph) -> DiagonalAxis | None:
     """A valid diagonal symmetry axis, slope +1 preferred, or None.
 
-    Each slope has at most one candidate: the axis must run midway between
-    the extreme diagonals, so its offset is fixed by the vertices.
+    Each slope has at most one candidate: the reflection maps the leftmost
+    column onto the lowest row, so its offset is fixed by the vertices.
     """
     if not g.vertices:
         return None

@@ -9,9 +9,10 @@ pairs, e.g. in a graph read from JSON).
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass
-from operator import itemgetter, lt
-from typing import Iterable, Optional, TYPE_CHECKING
+from operator import add, itemgetter, lt
+from typing import Iterable, Iterator, Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:
     from .regions import Region
@@ -30,6 +31,11 @@ LATTICE_SYMMETRIES = (
     lambda x, y: (y, x),
     lambda x, y: (-y, -x),
 )
+
+# LATTICE_SYMMETRIES as (swap, sx, sy): (x, y) -> (sx*x, sy*y), x and y exchanged first
+# if swap.  A map sending (1, 0) to (0, b) and (0, 1) to (c, 0) is (x, y) -> (c*y, b*x).
+_SIGN_SWAP = tuple((True, s(0, 1)[0], s(1, 0)[1]) if s(1, 0)[0] == 0 else (False, s(1, 0)[0], s(0, 1)[1])
+                   for s in LATTICE_SYMMETRIES)
 
 # An edge (p, q) steps from its smaller point p to q by one of these.
 _UNIT_STEPS = {(1, 0), (0, 1)}
@@ -60,6 +66,13 @@ class EmbeddedGraph:
                 raise ValueError(f"edge {p}-{q} is not a unit step from its smaller point")
 
     @classmethod
+    def _trusted(cls, vertices: tuple[Point, ...], edges: tuple[PointPair, ...]) -> "EmbeddedGraph":
+        """Skip __post_init__'s checks: each caller says why its graph is valid as built."""
+        g = object.__new__(cls)
+        g.__dict__.update(vertices=vertices, edges=edges)
+        return g
+
+    @classmethod
     def from_points(
         cls,
         points: Iterable[Point],
@@ -78,18 +91,19 @@ class EmbeddedGraph:
         # Edges hold the vertex tuples themselves, so they allocate no points of their own.
         vertex = {p: p for p in vs}.get
         if pairs is None:
-            es = [(p, q) for p in vs
-                  for q in (vertex((p[0], p[1] + 1)), vertex((p[0] + 1, p[1])))
-                  if q is not None]
-        else:
-            es = set()
-            for a, b in pairs:
-                p, q = vertex(tuple(a)), vertex(tuple(b))
-                if p is None or q is None:
-                    raise ValueError(f"edge endpoint {a}-{b} is not a vertex")
-                es.add((p, q) if p < q else (q, p))
-        # Unit-neighbor edges come out sorted: p ascends, and (x, y+1) < (x+1, y).
-        return cls(vertices=vs, edges=tuple(es) if pairs is None else tuple(sorted(es)))
+            # Distinct int points, sorted, joined by unit steps that come out sorted:
+            # p ascends, and (x, y+1) < (x+1, y).  So the graph is valid as built.
+            return cls._trusted(vs, tuple(
+                (p, q) for p in vs
+                for q in (vertex((p[0], p[1] + 1)), vertex((p[0] + 1, p[1])))
+                if q is not None))
+        es = set()
+        for a, b in pairs:
+            p, q = vertex(tuple(a)), vertex(tuple(b))
+            if p is None or q is None:
+                raise ValueError(f"edge endpoint {a}-{b} is not a vertex")
+            es.add((p, q) if p < q else (q, p))
+        return cls(vertices=vs, edges=tuple(sorted(es)))
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -185,64 +199,99 @@ def reduce_forced(g: EmbeddedGraph) -> ReductionReport:
 
 def induced_subgraph(g: EmbeddedGraph, keep: set[Point]) -> EmbeddedGraph:
     """The vertices of g in keep with every edge of g between two of them."""
-    return EmbeddedGraph(
+    # Order-preserving filters of a valid graph, keeping only edges whose ends are kept.
+    return EmbeddedGraph._trusted(
         vertices=tuple(p for p in g.vertices if p in keep),
         edges=tuple(e for e in g.edges if e[0] in keep and e[1] in keep),
     )
+
+
+def _coords(points: tuple[Point, ...]) -> tuple[list[int], list[int]]:
+    return list(map(itemgetter(0), points)), list(map(itemgetter(1), points))
+
+
+def _affine(coords: Iterable[int], sign: int, low: int):
+    """The map c -> sign*c + shift whose least value on coords is low, as one C-level callable."""
+    return (low - min(coords)).__add__ if sign > 0 else (low + max(coords)).__sub__
+
+
+def _joins_all_unit_pairs(g: EmbeddedGraph, xs: list[int], ys: list[int]) -> bool:
+    """True iff g has an edge between every two of its vertices at distance 1."""
+    # Key (x, y) as x*w + y, w wider than the span of y: the neighbours (x, y+1) and
+    # (x+1, y) are keyed +1 and +w, and int keys hash for free where tuples would not.
+    w = max(ys) - min(ys) + 2
+    keys = list(map(add, map(w.__mul__, xs), ys))
+    has = set(keys).__contains__
+    return len(g.edges) == sum(map(has, map((1).__add__, keys))) + sum(map(has, map(w.__add__, keys)))
 
 
 def normalize(g: EmbeddedGraph) -> EmbeddedGraph:
     """Canonical representative under the 8 lattice symmetries and translation."""
     if not g.vertices:
         return g
+    coords = _coords(g.vertices)
     best = None
-    for sym in LATTICE_SYMMETRIES:
-        moved = [sym(x, y) for x, y in g.vertices]
-        ox = min(x for x, _ in moved)
-        oy = min(y for _, y in moved)
-        shifted = {p: (q[0] - ox, q[1] - oy) for p, q in zip(g.vertices, moved)}
-        vs = tuple(sorted(shifted.values()))
+    for swap, sx, sy in _SIGN_SWAP:
+        us, vs = coords[::-1] if swap else coords
+        shifted = dict(zip(g.vertices, zip(map(_affine(us, sx, 0), us), map(_affine(vs, sy, 0), vs))))
+        points = tuple(sorted(shifted.values()))
         es = []
         for p, q in g.edges:
             a, b = shifted[p], shifted[q]
             es.append((a, b) if a < b else (b, a))
-        key = (vs, tuple(sorted(es)))
+        key = (points, tuple(sorted(es)))
         if best is None or key < best:
             best = key
-    return EmbeddedGraph(vertices=best[0], edges=best[1])
+    # A symmetry and a shift keep points distinct and unit steps unit steps, and
+    # both tuples are sorted with each edge's smaller point first.
+    return EmbeddedGraph._trusted(*best)
+
+
+def _maps_onto(g1: EmbeddedGraph, g2: EmbeddedGraph,
+               symmetries: Iterable[tuple[bool, int, int]]) -> Iterator[bool]:
+    """For each (swap, sx, sy) in turn, whether it maps g1 onto g2 when shifted so
+    that their bounding boxes meet; the graphs have equal vertex and edge counts."""
+    xs, ys = _coords(g1.vertices)
+    axes = ((xs, Counter(xs)), (ys, Counter(ys)))
+    want = [c for _, c in axes] if g2 is g1 else list(map(Counter, _coords(g2.vertices)))
+    points = full = None
+    for swap, sx, sy in symmetries:
+        (us, u_counts), (vs, v_counts) = axes[::-1] if swap else axes
+        u, v = _affine(u_counts, sx, min(want[0])), _affine(v_counts, sy, min(want[1]))
+        if ({u(c): n for c, n in u_counts.items()} != want[0]
+                or {v(c): n for c, n in v_counts.items()} != want[1]):
+            yield False
+            continue
+        points = points or set(g2.vertices)
+        if not points.issuperset(zip(map(u, us), map(v, vs))):
+            yield False
+            continue
+        if full is None:
+            full = _joins_all_unit_pairs(g1, xs, ys)
+        if full:
+            yield True
+            continue
+        placed = dict(zip(g1.vertices, zip(map(u, us), map(v, vs))))
+        pairs = set(g2.edges)
+        yield all((placed[p], placed[q]) in pairs or (placed[q], placed[p]) in pairs
+                  for p, q in g1.edges)
 
 
 def isomorphic_embedded(g1: EmbeddedGraph, g2: EmbeddedGraph) -> bool:
     """True iff some lattice symmetry plus translation maps g1 exactly onto g2.
 
-    The map is injective, so with equal vertex and edge counts, sending every
-    vertex and edge of g1 into g2 makes it a bijection: normalize(g1) == normalize(g2).
+    The answer is normalize(g1) == normalize(g2).  Such a map lines up the
+    bounding boxes, so each symmetry has one shift to try.  It carries g1's
+    per-column and per-row point counts onto g2's, so a symmetry whose counts
+    differ is rejected before any point moves.  It is injective, so with equal
+    vertex counts, sending each vertex of g1 into g2 makes it a bijection.  If
+    g1 joins every two unit neighbours, the map then carries its edges onto
+    all such pairs of g2, which has as many edges and so no others; otherwise
+    each edge is checked.
     """
     if len(g1.vertices) != len(g2.vertices) or len(g1.edges) != len(g2.edges):
         return False
-    if not g1.vertices:
-        return True
-    points, pairs = set(g2.vertices), set(g2.edges)
-    # Vertices are sorted, so x runs from the first point to the last.
-    lo = (g1.vertices[0][0], min(y for _, y in g1.vertices))
-    hi = (g1.vertices[-1][0], max(y for _, y in g1.vertices))
-    corner = (g2.vertices[0][0], min(y for _, y in g2.vertices))
-    for sym in LATTICE_SYMMETRIES:
-        # A symmetry maps g1's bounding box to the box spanned by its moved corners.
-        a, b = sym(*lo), sym(*hi)
-        dx, dy = corner[0] - min(a[0], b[0]), corner[1] - min(a[1], b[1])
-        placed = {}
-        for point in g1.vertices:
-            u, v = sym(*point)
-            p = (u + dx, v + dy)
-            if p not in points:
-                break
-            placed[point] = p
-        else:
-            if all((placed[p], placed[q]) in pairs or (placed[q], placed[p]) in pairs
-                   for p, q in g1.edges):
-                return True
-    return False
+    return not g1.vertices or any(_maps_onto(g1, g2, _SIGN_SWAP))
 
 
 def connected_components(g: EmbeddedGraph) -> list[set[Point]]:

@@ -1,4 +1,8 @@
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aztec_tilings.engines import count
 from aztec_tilings.errors import FactorizationError
@@ -173,3 +177,74 @@ def test_invalid_axis_rejected():
         apply_factorization(build_holey_ar(2, 4, set_B(1)), foreign)
     with pytest.raises(FactorizationError):
         verify_factorization(EmbeddedGraph.from_points([(0, 0), (1, 0)]))
+
+
+def placed(g, k, dx, dy):
+    """g moved by LATTICE_SYMMETRIES[k], then translated by (dx, dy)."""
+    def place(p):
+        x, y = LATTICE_SYMMETRIES[k](*p)
+        return (x + dx, y + dy)
+
+    return EmbeddedGraph.from_points([place(p) for p in g.vertices],
+                                     [(place(p), place(q)) for p, q in g.edges]), place
+
+
+@pytest.mark.parametrize("name,builder,plus_kind,minus_kind,order", SPLIT_TABLE)
+def test_halves_built_unvalidated_pass_the_validator(name, builder, plus_kind, minus_kind, order):
+    for n in range(1, 9):
+        g = builder(n)
+        result = apply_factorization(g, find_diagonal_axis(g))
+        for half in (result.g_plus, result.g_minus):
+            # the validating constructor raises if a half breaks an invariant
+            assert EmbeddedGraph(vertices=half.vertices, edges=half.edges) == half
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.frozensets(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=20),
+       st.integers(0, 7), st.integers(-9, 9), st.integers(-9, 9))
+def test_halves_of_drawn_symmetric_regions_pass_the_validator(cells, k, dx, dy):
+    # mirrored in y = x, with the whole diagonal, so the on-axis points are consecutive
+    cells = cells | {(y, x) for x, y in cells} | {(i, i) for i in range(6)}
+    g, _ = placed(EmbeddedGraph.from_points(cells), k, dx, dy)
+    axis = find_diagonal_axis(g)
+    assert axis is not None
+    result = apply_factorization(g, axis)
+    for half in (result.g_plus, result.g_minus):
+        assert EmbeddedGraph(vertices=half.vertices, edges=half.edges) == half
+    assert len(result.g_plus) + len(result.g_minus) == len(g)
+
+
+def test_no_axis_when_only_the_counts_are_symmetric():
+    # every column count is the count of its mirrored row under either diagonal
+    # reflection, yet neither reflection maps the points onto themselves
+    g = EmbeddedGraph.from_points([(0, 1), (0, 3), (1, 0), (2, 0), (3, 2), (3, 3)])
+    cols, rows = Counter(x for x, _ in g.vertices), Counter(y for _, y in g.vertices)
+    assert cols == rows  # y = x
+    assert Counter({3 - x: n for x, n in cols.items()}) == rows  # x + y = 3
+    assert find_diagonal_axis(g) is None
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+@pytest.mark.parametrize("k", range(len(LATTICE_SYMMETRIES)))
+def test_axis_of_every_placement_of_the_eq16_rectangle(k, n):
+    base = build_holey_ar(2 * n, 4 * n, set_A(n))
+    base_axis = find_diagonal_axis(base)
+    assert base_axis.slope == 1
+    g, place = placed(base, k, k, -3)
+    # the axis direction (1, 1) is carried onto (a, b): slope +1 iff a and b share a sign
+    a, b = LATTICE_SYMMETRIES[k](1, 1)
+    axis = find_diagonal_axis(g)
+    assert axis is not None and axis.slope == (1 if a * b > 0 else -1) and axis.w == n
+    assert set(axis.on_axis) == {place(p) for p in base_axis.on_axis}
+
+
+def test_axis_from_another_graph_is_rejected():
+    g = build_holey_ar(4, 8, set_A(2))
+    shifted, _ = placed(g, 0, 1, 0)
+    mirrored, _ = placed(g, 4, 0, 0)
+    for other in (shifted, mirrored, build_holey_ar(6, 12, set_A(3)), build_holey_ar(2, 4, set_A(1))):
+        foreign = find_diagonal_axis(other)
+        assert foreign is not None and foreign != find_diagonal_axis(g)
+        with pytest.raises(FactorizationError, match="not a valid symmetry axis"):
+            apply_factorization(g, foreign)
+

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -336,3 +338,91 @@ def test_point_pair_edges_match_the_index_pair_construction(g, rng):
     index = {p: i for i, p in enumerate(g.vertices)}
     assert data["edges"] == sorted([index[p], index[q]] for p, q in g.edges)
     assert all(i < j for i, j in data["edges"])
+
+
+def revalidated(g):
+    """g rebuilt through the validating constructor, which raises if g breaks an invariant."""
+    return EmbeddedGraph(vertices=g.vertices, edges=g.edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cells_5x5, st.integers(-9, 9), st.integers(-9, 9), thinned_grid_graphs(),
+       st.randoms(use_true_random=False))
+def test_graphs_built_unvalidated_pass_the_validator(cells, dx, dy, thinned, rng):
+    full = dual_graph(Region(cells=frozenset((x + dx, y + dy) for x, y in cells)))
+    for g in (full, thinned):
+        keep = {p for p in g.vertices if rng.random() < 0.7}
+        for built in (g, reduce_forced(g).reduced, induced_subgraph(g, keep), normalize(g)):
+            assert revalidated(built) == built
+
+
+@pytest.mark.parametrize("kind", QUARTER_KINDS)
+def test_quarters_built_unvalidated_pass_the_validator(kind):
+    for n in range(1, 33):
+        g = dual_graph(build_quartered(n, kind))
+        assert revalidated(g) == g
+        reduced = reduce_forced(g).reduced
+        assert revalidated(reduced) == reduced
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: EmbeddedGraph.from_points([(0, 0), (1.0, 0)]),
+         "point (1.0, 0) has a non-integer coordinate"),
+        (lambda: dual_graph(Region(cells=frozenset({(0, 0), (0, 1.5)}))),
+         "point (0, 1.5) has a non-integer coordinate"),
+        (lambda: EmbeddedGraph.from_points(SQUARE_POINTS, [((0, 0), (0, 2))]),
+         "edge endpoint (0, 0)-(0, 2) is not a vertex"),
+        (lambda: EmbeddedGraph.from_points([(0, 0), (1, 1)], [((1, 1), (0, 0))]),
+         "edge (0, 0)-(1, 1) is not a unit step from its smaller point"),
+        (lambda: EmbeddedGraph(vertices=((0, 1), (0, 0)), edges=()),
+         "vertices must be sorted and distinct"),
+        (lambda: EmbeddedGraph(vertices=SQUARE_POINTS, edges=(((0, 0), (0, 2)),)),
+         "edge endpoint (0, 0)-(0, 2) is not a vertex"),
+    ],
+    ids=["float_point", "float_cell", "pair_endpoint", "pair_not_a_step", "unsorted", "bad_edge"],
+)
+def test_outside_input_is_still_validated_with_the_same_message(build, message):
+    with pytest.raises(ValueError) as raised:
+        build()
+    assert str(raised.value) == message
+
+
+@settings(max_examples=300, deadline=None)
+@given(thinned_grid_graphs(), st.integers(0, 7), st.integers(-9, 9), st.integers(-9, 9),
+       st.randoms(use_true_random=False))
+def test_isomorphic_embedded_on_edge_subsets(g, k, dx, dy, rng):
+    h = placed(g, k, dx, dy)
+    assert isomorphic_embedded(g, h) and isomorphic_embedded(h, g)
+    # the placed points with one edge traded for a unit pair it lacks, and with fewer edges
+    missing = sorted(set(EmbeddedGraph.from_points(h.vertices).edges) - set(h.edges))
+    others = [EmbeddedGraph.from_points(h.vertices, [e for e in h.edges if rng.random() < 0.8])]
+    if missing and h.edges:
+        dropped = rng.randrange(len(h.edges))
+        others.append(EmbeddedGraph.from_points(
+            h.vertices, h.edges[:dropped] + h.edges[dropped + 1:] + (rng.choice(missing),)))
+    for other in others:
+        assert isomorphic_embedded(g, other) == (normalize(g) == normalize(other))
+        assert isomorphic_embedded(other, g) == isomorphic_embedded(g, other)
+
+
+def test_not_isomorphic_with_one_edge_moved():
+    # the 3x3 grid without a corner edge, and without an edge at its centre
+    grid = EmbeddedGraph.from_points((x, y) for x in range(3) for y in range(3))
+    corner, centre = ((0, 0), (1, 0)), ((1, 1), (2, 1))
+    a, b = (EmbeddedGraph.from_points(grid.vertices, [e for e in grid.edges if e != cut])
+            for cut in (corner, centre))
+    assert a.vertices == b.vertices and len(a.edges) == len(b.edges)
+    assert not isomorphic_embedded(a, b) and not isomorphic_embedded(b, a)
+
+
+def test_not_isomorphic_with_equal_row_and_column_counts():
+    # two cells swapped across a 2x2 switch: every row and column keeps its count
+    a = EmbeddedGraph.from_points([(0, 0), (0, 2), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2)])
+    b = EmbeddedGraph.from_points([(0, 0), (0, 1), (1, 0), (1, 2), (2, 0), (2, 1), (2, 2)])
+    for i in (0, 1):
+        assert Counter(p[i] for p in a.vertices) == Counter(p[i] for p in b.vertices)
+    assert len(a.edges) == len(b.edges)
+    assert normalize(a) != normalize(b)
+    assert not isomorphic_embedded(a, b) and not isomorphic_embedded(b, a)
