@@ -5,10 +5,11 @@ counting path.  `count_brute` is the definition-level oracle, the
 determinant method (division-free +-1 pivots, then Bareiss on the few
 columns left) counts every grid graph in polynomial time and is what
 "auto" runs, and the broken-profile sweep, exponential only in the
-narrower side and bounded by a live-state budget, rechecks it.  Each
-engine can recheck the others.  `fkt_supported` is on no counting path:
-it is the unit-square face test that gates the `engines` verify suite's
-`:fkt` cases.
+narrower side and bounded by a live-state budget, rechecks it.  Past that
+budget (PROFILE_STATE_LIMIT, already at ad(11)) no engine rechecks a count
+of 24 or more vertices, and a crosscheck raises TooLargeError.
+`fkt_supported` is on no counting path: it is the unit-square face test
+that gates the `engines` verify suite's `:fkt` cases.
 """
 
 from __future__ import annotations
@@ -116,11 +117,12 @@ def _abs_det(rows: list[dict[int, int]]) -> int:
     """|det| of a square matrix as sparse rows (column -> nonzero entry), consumed.
 
     One pass over the columns clears each that has a +-1 entry u, in its lowest
-    such row p: every other row with an entry h there takes row -= h*u*row_p,
-    which keeps det, touches only row p's columns and divides by nothing; row p
-    and the column then leave, taking a factor +-u.  Every entry left is +- a
-    minor of the input, as the pivots' block has det +-1.  A column with no +-1
-    holder waits for `_bareiss`; one with no holder at all makes det 0.
+    such row p: every other row with an entry h there takes row -= h*u*row_p in
+    place, which keeps det, touches only row p's columns and divides by nothing;
+    row p and the column then leave, taking a factor +-u.  `holders` changes
+    only where an entry appears or cancels.  Every entry left is +- a minor of
+    the input, as the pivots' block has det +-1.  A column with no +-1 holder
+    waits for `_bareiss`; one with no holder at all makes det 0.
     """
     holders: list[set[int]] = [set() for _ in rows]  # column -> rows with an entry
     for i, row in enumerate(rows):
@@ -130,25 +132,34 @@ def _abs_det(rows: list[dict[int, int]]) -> int:
     for k, live in enumerate(holders):
         if not live:
             return 0
-        p = min((i for i in live if rows[i][k] in (1, -1)), default=None)
-        if p is None:
+        p = len(rows)
+        for i in live:
+            if i < p and rows[i][k] in (1, -1):
+                p = i
+        if p == len(rows):
             waiting.append(k)
             continue
         prow = rows[p]
         for j in prow:  # live is holders[k], so p leaves it too
             holders[j].discard(p)
         u = prow.pop(k)
+        scaled = [(j, -u * w) for j, w in prow.items()]
+        prow.clear()  # row p is done: free its entries
         for i in live:
             row = rows[i]
-            f = row.pop(k) * u
-            for j, w in prow.items():
-                v = row.pop(j, 0) - f * w
-                if v:
-                    row[j] = v
+            f = row.pop(k)
+            for j, w in scaled:
+                v = row.get(j)
+                if v is None:
+                    row[j] = f * w
                     holders[j].add(i)
                 else:
-                    holders[j].discard(i)
-        prow.clear()  # row p is done: free its entries
+                    v += f * w
+                    if v:
+                        row[j] = v
+                    else:
+                        del row[j]
+                        holders[j].discard(i)
     return _bareiss(rows, holders, waiting)
 
 
@@ -287,24 +298,26 @@ def count_fkt(g: EmbeddedGraph) -> int:
     `_abs_det` pivots on a +-1 entry wherever one is left, so Bareiss runs
     only on a small tail: n columns on ad(n), 27 of 2328 on r(96).
     """
-    evens = [p for p in g.vertices if (p[0] + p[1]) % 2 == 0]
-    odds = [p for p in g.vertices if (p[0] + p[1]) % 2 == 1]
-    if len(evens) != len(odds):
+    if 2 * sum((x + y) % 2 for x, y in g.vertices) != len(g.vertices):
         return 0
-    order = _dissection_order(list(g.vertices))
-    row = {p: i for i, p in enumerate(p for p in order if (p[0] + p[1]) % 2 == 0)}
-    col = {p: i for i, p in enumerate(p for p in order if (p[0] + p[1]) % 2 == 1)}
+    row: dict[Point, int] = {}  # even point -> its row
+    col: dict[Point, int] = {}  # odd point -> its column
+    for p in _dissection_order(list(g.vertices)):
+        index = col if (p[0] + p[1]) % 2 else row
+        index[p] = len(index)
     right: dict[tuple[int, int], int] = {}  # point -> vertices right of it in its row
     seen: dict[int, int] = {}
     for x, y in reversed(g.vertices):
         right[x, y] = seen[y] = seen.get(y, -1) + 1
-    rows: list[dict[int, int]] = [{} for _ in evens]
+    rows: list[dict[int, int]] = [{} for _ in row]
     for p, q in g.edges:
         # p is the smaller point, so the lower end of a vertical edge
         sign = -1 if p[0] == q[0] and right[p] % 2 else 1
-        if p not in row:
-            p, q = q, p
-        rows[row[p]][col[q]] = sign
+        i = row.get(p)
+        if i is None:
+            rows[row[q]][col[p]] = sign
+        else:
+            rows[i][col[q]] = sign
     return _abs_det(rows)
 
 

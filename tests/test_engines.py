@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from aztec_tilings.engines import (
     _abs_det,
+    _bareiss,
     _dissection_order,
     count,
     count_brute,
@@ -19,9 +20,9 @@ from aztec_tilings.errors import CountMismatchError, TooLargeError
 from aztec_tilings.formulas import aztec_diamond_value, theorem1_value
 from aztec_tilings.grids import LATTICE_SYMMETRIES, EmbeddedGraph, dual_graph
 from aztec_tilings.regions import (
+    KLEIN_ABUT,
     KLEIN_NONABUT,
     PINWHEEL,
-    QUARTER_KINDS,
     build_aztec_diamond,
     build_holey_ar,
     build_quartered,
@@ -108,9 +109,18 @@ def test_empty_graph_has_one_matching():
     assert count(EMPTY) == 1
 
 
-def test_fkt_imbalanced_returns_zero():
+def test_fkt_imbalanced_returns_zero(monkeypatch):
+    # an unbalanced graph is answered before the dissection order is built
+    from aztec_tilings import engines as eng
+
+    def no_order(points):
+        raise AssertionError("dissection order built for an unbalanced graph")
+
+    monkeypatch.setattr(eng, "_dissection_order", no_order)
     path = EmbeddedGraph.from_points([(0, 0), (1, 0), (2, 0)])
     assert count_fkt(path) == 0
+    diamond = dual_graph(build_aztec_diamond(6))
+    assert count_fkt(EmbeddedGraph.from_points(diamond.vertices[1:])) == 0
 
 
 @pytest.fixture
@@ -136,9 +146,15 @@ def test_fkt_matches_diamond_formula(n, tail_sizes):
     assert tail_sizes == [n]
 
 
-@pytest.mark.parametrize("kind", QUARTER_KINDS)
-def test_fkt_matches_quarter_formula_past_the_sweep(kind):
-    assert count_fkt(dual_graph(build_quartered(64, kind))) == theorem1_value(kind, 64)
+@pytest.mark.parametrize(
+    "kind, n, tail",
+    [(PINWHEEL, 64, 20), (KLEIN_ABUT, 64, 16), (KLEIN_NONABUT, 64, 16),
+     (PINWHEEL, 96, 27), (KLEIN_ABUT, 96, 24), (KLEIN_NONABUT, 96, 24)],
+)
+def test_fkt_matches_quarter_formula_past_the_sweep(kind, n, tail, tail_sizes):
+    # the tail orders pin the unit phase's pivot sequence ("lowest row with a +-1 entry")
+    assert count_fkt(dual_graph(build_quartered(n, kind))) == theorem1_value(kind, n)
+    assert tail_sizes == [tail]
 
 
 def test_fkt_balanced_without_perfect_matching_returns_zero():
@@ -247,6 +263,25 @@ def test_abs_det_column_emptied_by_the_unit_phase_is_zero(tail_sizes):
     assert _leibniz_det(m) == 0
     assert _abs_det(_sparse(m)) == 0
     assert tail_sizes == []
+
+
+@pytest.mark.parametrize(
+    "m, k, i",
+    [
+        ([[2, -1, 2], [3, 0, 0], [3, -1, 0]], 1, 2),
+        ([[-2, 3, 2, 0], [1, 0, 0, 0], [0, 2, 3, 0], [3, 1, -2, 3]], 1, 3),
+        ([[3, 2, 0, 0], [3, 0, 1, 0], [1, 2, 2, 0], [1, 1, 1, 0]], 1, 2),
+    ],
+)
+def test_bareiss_raises_on_a_non_exact_division(m, k, i):
+    # Row i left out of holders[k] misses column k's update, so its entries and stamp go
+    # stale and a later division on it leaves a remainder.  The cases first trip, in turn,
+    # the checks on rescaling a pivot row, on updating a row and on filling one in.
+    rows = _sparse(m)
+    holders = [{r for r, row in enumerate(rows) if j in row} for j in range(len(m))]
+    holders[k].discard(i)
+    with pytest.raises(CountMismatchError, match="non-exact division"):
+        _bareiss(rows, holders, list(range(len(m))))
 
 
 # The unit squares inside [0, 4] x [0, 4] but some left out, extra unit steps that may
