@@ -2,16 +2,20 @@
 
 Every closed form is an integer product of its numerator factors, one of its
 denominator factors and one exact division; a remainder is a bug, not a
-rounding issue. Only the lemma6 ratios, which are not integers, are returned
-as `Fraction`s.
+rounding issue. `delta` and the lemma6 sides are multiplicity maps (value ->
+exponent), so shared factors cancel before any product. Only the lemma6
+ratios, which are not integers, are returned as `Fraction`s.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations, starmap
+from operator import sub
 
 from .errors import CountMismatchError, InvalidHolesError, InvalidOrderError
-from .regions import KLEIN_ABUT, KLEIN_NONABUT, PINWHEEL, check_index_set, set_A, set_B
+from .regions import KLEIN_ABUT, KLEIN_NONABUT, PINWHEEL, _require_order, check_index_set, set_A, set_B
 
 
 def _product(factors: list[int]) -> int:
@@ -35,6 +39,17 @@ def _as_int(num: int, den: int, k: int = 0) -> int:
 
 def _differences(a) -> list[int]:
     return [a[j] - a[i] for i in range(len(a)) for j in range(i + 1, len(a))]
+
+
+def _difference_counts(s) -> Counter:
+    """Multiplicity of each pairwise difference, later minus earlier, of s."""
+    return Counter(starmap(sub, combinations(s[::-1], 2)))
+
+
+def _ratio(exponents: Counter) -> Fraction:
+    """Product of v^e over a multiplicity map; negative exponents divide."""
+    return Fraction(_product([v ** e for v, e in exponents.items() if e > 0]),
+                    _product([v ** -e for v, e in exponents.items() if e < 0]))
 
 
 # (kind, order % 2) -> (c, shift, strict): with n = (order + c) // 4 the count is
@@ -92,18 +107,20 @@ def delta(s: tuple[int, ...]) -> int:
     """Product of pairwise differences (later minus earlier) of an index set."""
     if not s:
         raise InvalidHolesError("index set must be non-empty")
-    return _product(_differences(s))
+    return _ratio(_difference_counts(s)).numerator
 
 
 def lemma6_lhs(n: int) -> Fraction:
     """Ratio of pairwise-difference products of the two standard index sets."""
-    return Fraction(delta(set_A(n)), delta(set_B(n)))
+    exponents = _difference_counts(set_A(n))
+    exponents.subtract(_difference_counts(set_B(n)))
+    return _ratio(exponents)
 
 
 def lemma6_rhs(n: int) -> Fraction:
     """The equivalent double product over 1 <= i, j <= n."""
-    if n < 1:
-        raise InvalidOrderError(f"n must be >= 1, got {n}")
-    steps = [2 * j - 2 * i for i in range(1, n + 1) for j in range(1, n + 1)]
-    return Fraction(_product([2 * n + 1 + d for d in steps]),
-                    _product([2 * n - 1 + d for d in steps]))
+    _require_order(n)
+    weights = {k: n - abs(k) for k in range(1 - n, n)}  # number of pairs (i, j) with j - i = k
+    exponents = Counter({2 * n + 1 + 2 * k: w for k, w in weights.items()})
+    exponents.subtract({2 * n - 1 + 2 * k: w for k, w in weights.items()})
+    return _ratio(exponents)

@@ -25,6 +25,8 @@ from aztec_tilings.regions import (
     PINWHEEL,
     QUARTER_KINDS,
     build_quartered,
+    set_A,
+    set_B,
 )
 from aztec_tilings.verify import LEMMA1_IDS, lemma1_sides
 
@@ -213,6 +215,58 @@ def test_difference_product_ratio():
 @pytest.mark.parametrize("n", range(1, 51))
 def test_ratio_identity_up_to_50(n):
     assert lemma6_lhs(n) == lemma6_rhs(n)
+
+
+def _reference_delta(s):
+    # The quadratic form: every pairwise difference listed, then one product.
+    return _product([s[j] - s[i] for i in range(len(s)) for j in range(i + 1, len(s))])
+
+
+def _reference_lemma6_rhs(n):
+    # The explicit double product over 1 <= i, j <= n.
+    steps = [2 * j - 2 * i for i in range(1, n + 1) for j in range(1, n + 1)]
+    return Fraction(_product([2 * n + 1 + d for d in steps]),
+                    _product([2 * n - 1 + d for d in steps]))
+
+
+@pytest.mark.parametrize("n", [*range(1, 41), 100])
+def test_lemma6_sides_match_the_quadratic_reference(n):
+    a, b = _reference_delta(set_A(n)), _reference_delta(set_B(n))
+    assert delta(set_A(n)) == a
+    assert delta(set_B(n)) == b
+    assert lemma6_lhs(n) == Fraction(a, b)
+    assert lemma6_rhs(n) == _reference_lemma6_rhs(n)
+
+
+def test_lemma6_pinned_values():
+    # Exact values of the quadratic products; a ratio that loses either side fails.
+    assert lemma6_lhs(3) == Fraction(231, 5) == lemma6_rhs(3)
+    assert lemma6_lhs(10) == Fraction(240990435, 323) == lemma6_rhs(10)
+
+
+@pytest.mark.parametrize("n", [-1, 0, 301])
+def test_lemma6_sides_reject_the_same_orders(n):
+    with pytest.raises(InvalidOrderError) as lhs:
+        lemma6_lhs(n)
+    with pytest.raises(InvalidOrderError) as rhs:
+        lemma6_rhs(n)
+    assert str(lhs.value) == str(rhs.value)
+
+
+def test_lemma6_sides_accept_the_largest_order():
+    assert lemma6_lhs(300) == lemma6_rhs(300)
+
+
+@given(st.lists(st.integers(-8, 8) | st.integers(-10**12, 10**12), min_size=1, max_size=12))
+def test_delta_sign_follows_the_order(values):
+    s = tuple(values)
+    assert delta(s) == _reference_delta(s)
+    assert delta(s + s[:1]) == 0
+    if len(set(s)) < len(s):
+        assert delta(s) == 0
+    else:
+        inversions = sum(s[i] > s[j] for i in range(len(s)) for j in range(i + 1, len(s)))
+        assert delta(s) == (-1) ** inversions * delta(tuple(sorted(s)))
 
 
 @pytest.mark.parametrize("which", LEMMA1_IDS)
