@@ -18,7 +18,6 @@ from .factorize import (
     FactorizationResult,
     apply_factorization,
     find_diagonal_axis,
-    verify_factorization,
 )
 from .formulas import (
     aztec_diamond_value,
@@ -97,5 +96,4 @@ __all__ = [
     "set_A",
     "set_B",
     "theorem1_value",
-    "verify_factorization",
 ]

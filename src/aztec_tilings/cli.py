@@ -1,12 +1,13 @@
 """Command-line front end: generate, count, verify, render.
 
-Exit codes: 0 success, 1 verification or cross-check failure, 2 invalid input.
+Exit codes: 0 success, 1 check failure, 2 invalid input, 141 (128 + SIGPIPE) stdout closed early.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import engines, render, verify
@@ -24,13 +25,18 @@ from .regions import (
     build_quartered,
 )
 
-_REGION_FAMILIES = ("ad", "r", "ka", "kna")
-_GRAPH_FAMILIES = ("ar", "ar_holey", "ar_bar")
-_KIND_BY_FAMILY = {"r": PINWHEEL, "ka": KLEIN_ABUT, "kna": KLEIN_NONABUT}
-
-
-def _dumps(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+# Each family's builder and the options it reads, in argument order, grouped as the
+# message for a missing one names them.  A family refuses every option it does not read.
+_FAMILIES = {
+    "ad": (build_aztec_diamond, (("n",),)),
+    "r": (lambda n: build_quartered(n, PINWHEEL), (("n",),)),
+    "ka": (lambda n: build_quartered(n, KLEIN_ABUT), (("n",),)),
+    "kna": (lambda n: build_quartered(n, KLEIN_NONABUT), (("n",),)),
+    "ar": (build_aztec_rectangle, (("m", "n"),)),
+    "ar_holey": (build_holey_ar, (("m", "n"), ("keep",))),
+    "ar_bar": (build_holey_ar_bar, (("m", "n"), ("remove",))),
+}
+_FAMILY_OPTIONS = ("n", "m", "keep", "remove")
 
 
 def _parse_positions(text: str) -> tuple[int, ...]:
@@ -41,29 +47,25 @@ def _parse_positions(text: str) -> tuple[int, ...]:
 
 
 def _build_family(args) -> Region | EmbeddedGraph:
-    family = args.family
-    if family == "ad":
-        _need(args.n is not None, "--n is required for ad")
-        return build_aztec_diamond(args.n)
-    if family in _KIND_BY_FAMILY:
-        _need(args.n is not None, f"--n is required for {family}")
-        return build_quartered(args.n, _KIND_BY_FAMILY[family])
-    _need(args.m is not None and args.n is not None, f"--m and --n are required for {family}")
-    if family == "ar":
-        return build_aztec_rectangle(args.m, args.n)
-    if family == "ar_holey":
-        _need(args.keep is not None, "--keep is required for ar_holey")
-        return build_holey_ar(args.m, args.n, args.keep)
-    if family == "ar_bar":
-        _need(args.remove is not None, "--remove is required for ar_bar")
-        return build_holey_ar_bar(args.m, args.n, args.remove)
-    raise SystemExit(2)
+    build, groups = _FAMILIES[args.family]
+    reads = [option for group in groups for option in group]
+    _refuse(args, [o for o in _FAMILY_OPTIONS if o not in reads], args.family)
+    for group in groups:
+        _need(all(getattr(args, o) is not None for o in group),
+              f"{' and '.join(f'--{o}' for o in group)} "
+              f"{'is' if len(group) == 1 else 'are'} required for {args.family}")
+    return build(*(getattr(args, o) for o in reads))
 
 
 def _need(condition: bool, message: str) -> None:
     if not condition:
         print(message, file=sys.stderr)
         raise SystemExit(2)
+
+
+def _refuse(args, options, reader: str) -> None:
+    given = [f"--{o}" for o in options if getattr(args, o) is not None]
+    _need(not given, f"{reader} does not read {', '.join(given)}")
 
 
 def _load_input(path: str) -> Region | EmbeddedGraph:
@@ -82,25 +84,22 @@ def _load_input(path: str) -> Region | EmbeddedGraph:
 
 
 def _obtain(args) -> Region | EmbeddedGraph:
-    if getattr(args, "input", None):
+    if args.input is not None:
+        _refuse(args, ("family", *_FAMILY_OPTIONS), "--input")
         return _load_input(args.input)
     _need(args.family is not None, "either --input or --family is required")
     return _build_family(args)
 
 
-def _as_graph(obj: Region | EmbeddedGraph) -> EmbeddedGraph:
-    return dual_graph(obj) if isinstance(obj, Region) else obj
-
-
 def cmd_gen(args) -> int:
-    print(_dumps(_build_family(args).to_json_dict()))
+    print(json.dumps(_build_family(args).to_json_dict(), sort_keys=True, separators=(",", ":")))
     return 0
 
 
 def cmd_count(args) -> int:
-    g = _as_graph(_obtain(args))
-    result = engines.count(g, engine=args.engine, crosscheck=args.crosscheck)
-    print(result)
+    obj = _obtain(args)
+    g = dual_graph(obj) if isinstance(obj, Region) else obj
+    print(engines.count(g, engine=args.engine, crosscheck=args.crosscheck))
     return 0
 
 
@@ -133,7 +132,7 @@ def cmd_render(args) -> int:
 def _add_family_options(sub: argparse.ArgumentParser, with_input: bool) -> None:
     if with_input:
         sub.add_argument("--input", help="region/graph JSON file, or - for stdin")
-        sub.add_argument("--family", choices=_REGION_FAMILIES + _GRAPH_FAMILIES)
+        sub.add_argument("--family", choices=tuple(_FAMILIES))
     sub.add_argument("--n", type=int, help="order (regions) or width (rectangles)")
     sub.add_argument("--m", type=int, help="rectangle height parameter")
     sub.add_argument("--keep", type=_parse_positions, help="kept bottom-row positions")
@@ -148,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p_gen = subs.add_parser("gen", help="emit a region or graph as JSON")
-    p_gen.add_argument("family", choices=_REGION_FAMILIES + _GRAPH_FAMILIES)
+    p_gen.add_argument("family", choices=tuple(_FAMILIES))
     _add_family_options(p_gen, with_input=False)
     p_gen.set_defaults(func=cmd_gen)
 
@@ -177,7 +176,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # so that a closed pipe raises here, not at interpreter exit
+        return status
+    except BrokenPipeError:
+        # the recipe of Python's signal docs: no later flush of stdout can raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except CountMismatchError as exc:
         print(f"engine cross-check failed: {exc}", file=sys.stderr)
         return 1

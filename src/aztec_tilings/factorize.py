@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from itertools import compress
 from operator import add, sub
 
-from .engines import count
 from .errors import FactorizationError
 from .grids import EmbeddedGraph, Point, _coords, _maps_onto, induced_subgraph
 
@@ -39,21 +38,6 @@ class FactorizationResult:
     g_plus: EmbeddedGraph
     g_minus: EmbeddedGraph
     w: int
-
-
-@dataclass(frozen=True)
-class FactorizationReport:
-    """All five quantities of the product identity, plus the verdict."""
-
-    axis: DiagonalAxis
-    w: int
-    m_g: int
-    m_plus: int
-    m_minus: int
-
-    @property
-    def ok(self) -> bool:
-        return self.m_g == (1 << self.w) * self.m_plus * self.m_minus
 
 
 def _axis_if_valid(g: EmbeddedGraph, slope: int) -> DiagonalAxis | None:
@@ -110,17 +94,3 @@ def apply_factorization(g: EmbeddedGraph, axis: DiagonalAxis) -> FactorizationRe
         w=axis.w,
     )
 
-
-def verify_factorization(g: EmbeddedGraph) -> FactorizationReport:
-    """Count the whole and both halves independently and check the identity."""
-    axis = find_diagonal_axis(g)
-    if axis is None:
-        raise FactorizationError("graph has no diagonal symmetry axis")
-    result = apply_factorization(g, axis)
-    return FactorizationReport(
-        axis=axis,
-        w=result.w,
-        m_g=count(g),
-        m_plus=count(result.g_plus),
-        m_minus=count(result.g_minus),
-    )

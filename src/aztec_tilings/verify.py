@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from . import engines
-from .errors import FactorizationError, InvalidOrderError
-from .factorize import apply_factorization, find_diagonal_axis, verify_factorization
+from .errors import InvalidOrderError
+from .factorize import apply_factorization, find_diagonal_axis
 from .formulas import lemma4_value, lemma5_value, lemma6_lhs, lemma6_rhs, theorem1_value
 from .grids import EmbeddedGraph, dual_graph, isomorphic_embedded, reduce_forced
 from .regions import (
@@ -37,6 +37,9 @@ from .regions import (
 )
 
 _RANDOM_SEED = 20240801
+_HOLEY_TRIALS = 20  # random hole positions per shape in lemma4 and lemma5
+_ENGINE_TRIALS = 300
+_GRID_SIDE = 6
 
 
 @dataclass(frozen=True)
@@ -176,16 +179,16 @@ def suite_lemma2(max_n: int = 2) -> Iterator[VerifyCase]:
             yield _case(f"{name}[n={n}]:count", engines.count(g_small), engines.count(g_big))
 
 
-# Factorization identities: (id, graph builder, upper kind, lower kind, order).
+# Factorization identities: (id, graph builder, upper kind, lower kind, order, factorization id).
 _LEMMA3_TABLE = (
     ("eq15", lambda n: build_holey_ar(2 * n, 4 * n, set_B(n)),
-     KLEIN_ABUT, PINWHEEL, lambda n: 4 * n),
+     KLEIN_ABUT, PINWHEEL, lambda n: 4 * n, lambda n: f"ar({2*n},{4*n})B{n}"),
     ("eq16", lambda n: build_holey_ar(2 * n, 4 * n, set_A(n)),
-     PINWHEEL, KLEIN_NONABUT, lambda n: 4 * n),
+     PINWHEEL, KLEIN_NONABUT, lambda n: 4 * n, lambda n: f"ar({2*n},{4*n})A{n}"),
     ("eq17", lambda n: build_holey_ar_bar(2 * n, 4 * n - 1, set_A(n)),
-     KLEIN_ABUT, PINWHEEL, lambda n: 4 * n - 1),
+     KLEIN_ABUT, PINWHEEL, lambda n: 4 * n - 1, lambda n: f"arbar({2*n},{4*n-1})A{n}"),
     ("eq18", lambda n: build_holey_ar_bar(2 * n, 4 * n - 1, set_B(n)),
-     PINWHEEL, KLEIN_NONABUT, lambda n: 4 * n - 1),
+     PINWHEEL, KLEIN_NONABUT, lambda n: 4 * n - 1, lambda n: f"arbar({2*n},{4*n-1})B{n}"),
 )
 
 
@@ -193,7 +196,7 @@ _LEMMA3_TABLE = (
 def suite_lemma3(max_n: int = 2) -> Iterator[VerifyCase]:
     """Holey rectangles factor into quartered duals with the right product."""
     for n in range(1, max_n + 1):
-        for name, builder, plus_kind, minus_kind, order in _LEMMA3_TABLE:
+        for name, builder, plus_kind, minus_kind, order, _ in _LEMMA3_TABLE:
             g = builder(n)
             axis = find_diagonal_axis(g)
             if axis is None:
@@ -215,12 +218,12 @@ _HOLEY_SHAPES = ((2, 4), (2, 5), (3, 5), (3, 6))
 
 
 @_suite("lemma4")
-def suite_lemma4(trials: int = 20) -> Iterator[VerifyCase]:
+def suite_lemma4() -> Iterator[VerifyCase]:
     """Hole-position formula equals engine count on fixed and random instances."""
     rng = random.Random(_RANDOM_SEED)
     instances = [(3, 5, (1, 3, 5))]
     for m, n in _HOLEY_SHAPES:
-        for _ in range(trials):
+        for _ in range(_HOLEY_TRIALS):
             instances.append((m, n, tuple(sorted(rng.sample(range(1, n + 1), m)))))
     for m, n, kept in instances:
         g = build_holey_ar(m, n, kept)
@@ -229,12 +232,12 @@ def suite_lemma4(trials: int = 20) -> Iterator[VerifyCase]:
 
 
 @_suite("lemma5")
-def suite_lemma5(trials: int = 20) -> Iterator[VerifyCase]:
+def suite_lemma5() -> Iterator[VerifyCase]:
     """Bottomless variant of the hole-position formula, same scheme."""
     rng = random.Random(_RANDOM_SEED + 1)
     instances = [(3, 5, (3, 4, 6))]
     for m, n in _HOLEY_SHAPES:
-        for _ in range(trials):
+        for _ in range(_HOLEY_TRIALS):
             instances.append((m, n, tuple(sorted(rng.sample(range(1, n + 2), m)))))
     for m, n, removed in instances:
         g = build_holey_ar_bar(m, n, removed)
@@ -251,39 +254,32 @@ def suite_lemma6(max_n: int = 50) -> Iterator[VerifyCase]:
 
 @_suite("factorization", "max_n", top_order=lambda n: 4 * n)
 def suite_factorization(max_n: int = 2) -> Iterator[VerifyCase]:
-    """The product identity itself, on the 4-cycle and all holey rectangles."""
-    targets: list[tuple[str, EmbeddedGraph]] = [
-        ("square", EmbeddedGraph.from_points([(0, 0), (0, 1), (1, 0), (1, 1)]))
-    ]
-    for n in range(1, max_n + 1):
-        targets.append((f"ar({2*n},{4*n})B{n}", build_holey_ar(2 * n, 4 * n, set_B(n))))
-        targets.append((f"ar({2*n},{4*n})A{n}", build_holey_ar(2 * n, 4 * n, set_A(n))))
-        targets.append(
-            (f"arbar({2*n},{4*n-1})A{n}", build_holey_ar_bar(2 * n, 4 * n - 1, set_A(n)))
-        )
-        targets.append(
-            (f"arbar({2*n},{4*n-1})B{n}", build_holey_ar_bar(2 * n, 4 * n - 1, set_B(n)))
-        )
+    """M(G) = 2^w M(G+) M(G-) on the 4-cycle and lemma3's rectangles, G counted first."""
+    targets = [("square", EmbeddedGraph.from_points([(0, 0), (0, 1), (1, 0), (1, 1)]))]
+    targets += [(label(n), builder(n)) for n in range(1, max_n + 1)
+                for _, builder, _, _, _, label in _LEMMA3_TABLE]
     for name, g in targets:
-        try:
-            report = verify_factorization(g)
-        except FactorizationError:
+        axis = find_diagonal_axis(g)
+        if axis is None:
             yield _bool_case(f"{name}:axis", False)
             continue
-        yield _case(name, report.m_g, (1 << report.w) * report.m_plus * report.m_minus)
+        result = apply_factorization(g, axis)
+        m_g = engines.count(g)
+        product = (1 << result.w) * engines.count(result.g_plus) * engines.count(result.g_minus)
+        yield _case(name, m_g, product)
 
 
-def random_grid_subgraph(rng: random.Random, side: int = 6) -> EmbeddedGraph:
-    """Induced subgraph of the side x side grid with each vertex kept at 1/2."""
-    cells = [(i, j) for i in range(side) for j in range(side) if rng.random() < 0.5]
+def random_grid_subgraph(rng: random.Random) -> EmbeddedGraph:
+    """Induced subgraph of the 6x6 grid with each vertex kept at 1/2."""
+    cells = [(i, j) for i in range(_GRID_SIDE) for j in range(_GRID_SIDE) if rng.random() < 0.5]
     return EmbeddedGraph.from_points(cells)
 
 
 @_suite("engines")
-def suite_engines(trials: int = 300) -> Iterator[VerifyCase]:
+def suite_engines() -> Iterator[VerifyCase]:
     """All engines agree on random induced subgraphs of the 6x6 grid."""
     rng = random.Random(_RANDOM_SEED)
-    for k in range(trials):
+    for k in range(_ENGINE_TRIALS):
         g = random_grid_subgraph(rng)
         brute = engines.count_brute(g)
         yield _case(f"rnd#{k:03d}:dp", brute, engines.count_profile_dp(g))

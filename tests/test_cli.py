@@ -94,6 +94,45 @@ def test_invalid_input_exits_2():
 
 
 @pytest.mark.parametrize(
+    "args,unread",
+    [
+        (("count", "--input", "{f}", "--family", "ad", "--n", "3"), "--family, --n"),
+        (("count", "--input", "{f}", "--n", "3"), "--n"),
+        (("count", "--input", "", "--family", "ad", "--n", "3"), "--family, --n"),
+        (("render", "--input", "{f}", "--keep", "1"), "--keep"),
+        (("count", "--family", "ar", "--m", "2", "--n", "3", "--keep", "1,2"), "--keep"),
+        (("count", "--family", "ad", "--n", "3", "--m", "2"), "--m"),
+        (("render", "--family", "kna", "--n", "3", "--remove", "1"), "--remove"),
+        (("gen", "ka", "--n", "3", "--m", "1", "--keep", "1"), "--m, --keep"),
+        (("count", "--family", "ar_holey", "--m", "2", "--n", "3", "--keep", "1,2",
+          "--remove", "1"), "--remove"),
+        (("gen", "ar_bar", "--m", "2", "--n", "3", "--remove", "1,2", "--keep", "1"), "--keep"),
+    ],
+)
+def test_an_option_the_input_or_family_does_not_read_exits_2(args, unread, tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text('{"cells": []}')
+    proc = run_cli(*(str(path) if a == "{f}" else a for a in args))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.strip().endswith(f"does not read {unread}")
+    assert "Traceback" not in proc.stderr
+
+
+def test_a_closed_stdout_exits_neither_0_nor_1_and_prints_no_traceback():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    # ad(100) is 174,557 bytes, more than a pipe buffers, so the writer meets the closed end
+    proc = subprocess.Popen([sys.executable, "-m", "aztec_tilings", "gen", "ad", "--n", "100"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.read(10) == b'{"cells":['
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) not in (0, 1)
+    assert "Traceback" not in stderr
+
+
+@pytest.mark.parametrize(
     "payload,extra",
     [
         ({"vertices": [[0, 0], [0, 1]], "edges": [[0, 5]]}, ()),

@@ -10,7 +10,6 @@ from aztec_tilings.factorize import (
     DiagonalAxis,
     apply_factorization,
     find_diagonal_axis,
-    verify_factorization,
 )
 from aztec_tilings.formulas import theorem1_value
 from aztec_tilings.grids import (
@@ -152,31 +151,28 @@ def test_halves_are_the_two_sides_of_the_axis(name, builder, plus_kind, minus_ki
 @pytest.mark.parametrize("n", (1, 2))
 @pytest.mark.parametrize("name,builder,plus_kind,minus_kind,order", SPLIT_TABLE)
 def test_product_identity(name, builder, plus_kind, minus_kind, order, n):
-    report = verify_factorization(builder(n))
-    assert report.w == n
-    assert report.ok
-    assert report.m_g == 2**n * report.m_plus * report.m_minus
+    g = builder(n)
+    result = apply_factorization(g, find_diagonal_axis(g))
+    assert result.w == n
+    m_g = count(g)
+    assert m_g == 2**n * count(result.g_plus) * count(result.g_minus)
     closed_forms = theorem1_value(plus_kind, order(n)) * theorem1_value(minus_kind, order(n))
-    assert report.m_g == 2**n * closed_forms
+    assert m_g == 2**n * closed_forms
 
 
 def test_product_identity_order_3():
     # one size past the acceptance bound, identity only
-    for builder in (
-        lambda: build_holey_ar(6, 12, set_B(3)),
-        lambda: build_holey_ar_bar(6, 11, set_A(3)),
-    ):
-        report = verify_factorization(builder())
-        assert report.w == 3
-        assert report.ok
+    for g in (build_holey_ar(6, 12, set_B(3)), build_holey_ar_bar(6, 11, set_A(3))):
+        result = apply_factorization(g, find_diagonal_axis(g))
+        assert result.w == 3
+        assert count(g) == 2**3 * count(result.g_plus) * count(result.g_minus)
 
 
 def test_invalid_axis_rejected():
     foreign = find_diagonal_axis(FOUR_CYCLE)
     with pytest.raises(FactorizationError):
         apply_factorization(build_holey_ar(2, 4, set_B(1)), foreign)
-    with pytest.raises(FactorizationError):
-        verify_factorization(EmbeddedGraph.from_points([(0, 0), (1, 0)]))
+    assert find_diagonal_axis(EmbeddedGraph.from_points([(0, 0), (1, 0)])) is None
 
 
 def placed(g, k, dx, dy):

@@ -22,7 +22,7 @@ def test_each_suite_passes():
 
 
 def test_engines_suite_has_enough_trials():
-    report = verify.suite_engines(trials=300)
+    report = verify.suite_engines()
     assert report.ok
     dp_cases = [c for c in report.cases if c.case_id.endswith(":dp")]
     assert len(dp_cases) == 300
@@ -102,6 +102,22 @@ def test_run_suite_rejects_max_n_past_max_order_before_any_case(name, limit, mon
         verify.run_suite(name, max_n=limit + 1)
     with pytest.raises(AssertionError, match="a case ran"):
         verify.run_suite(name, max_n=limit)
+
+
+# The guard above trusts each suite's top_order; the builders it stubs out must agree.
+@pytest.mark.parametrize("value", [1, 2, 3])
+@pytest.mark.parametrize("name", ["theorem1", "lemma1", "lemma2", "lemma3", "factorization", "lemma6"])
+def test_top_order_is_the_largest_order_a_suite_builds(name, value, monkeypatch):
+    built = []
+    for builder in ("build_quartered", "build_holey_ar", "build_holey_ar_bar", "lemma6_rhs"):
+        def record(*args, real=getattr(verify, builder)):
+            built.append(max(a for a in args if isinstance(a, int)))
+            return real(*args)
+
+        monkeypatch.setattr(verify, builder, record)
+    _, bound, top_order = verify._SUITES[name]
+    assert verify.run_suite(name, **{bound: value}).ok
+    assert max(built) == top_order(value)
 
 
 @pytest.mark.parametrize("name", ["lemma4", "lemma5", "engines", "theorem1"])
