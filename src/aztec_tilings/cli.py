@@ -78,7 +78,7 @@ def _load_input(path: str) -> Region | EmbeddedGraph:
         if "cells" in data:
             return Region.from_json_dict(data)
         return EmbeddedGraph.from_json_dict(data)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
         print(f"cannot read region/graph JSON from {path}: {exc}", file=sys.stderr)
         raise SystemExit(2)
 

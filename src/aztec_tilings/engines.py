@@ -17,8 +17,6 @@ from __future__ import annotations
 from .errors import CountMismatchError, TooLargeError
 from .grids import EmbeddedGraph, Point, connected_components
 
-ENGINE_CHOICES = ("auto", "brute", "profile_dp", "fkt")
-
 BRUTE_VERTEX_LIMIT = 40
 PROFILE_STATE_LIMIT = 1 << 18
 AUTO_CROSSCHECK_BELOW = 24
@@ -326,6 +324,8 @@ _DISPATCH = {
     "profile_dp": count_profile_dp,
     "fkt": count_fkt,
 }
+
+ENGINE_CHOICES = ("auto", *_DISPATCH)
 
 
 def count(g: EmbeddedGraph, engine: str = "auto", crosscheck: bool = False) -> int:

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from . import engines
-from .errors import InvalidOrderError
 from .factorize import apply_factorization, find_diagonal_axis
 from .formulas import lemma4_value, lemma5_value, lemma6_lhs, lemma6_rhs, theorem1_value
 from .grids import EmbeddedGraph, dual_graph, isomorphic_embedded, reduce_forced
@@ -47,7 +46,10 @@ class VerifyCase:
     case_id: str
     expected: str
     actual: str
-    ok: bool
+
+    @property
+    def ok(self) -> bool:
+        return self.expected == self.actual
 
 
 @dataclass(frozen=True)
@@ -107,12 +109,11 @@ def _suite(name: str, bound: str | None = None, top_order: Callable[[int], int] 
 
 
 def _case(cid: str, expected, actual) -> VerifyCase:
-    e, a = str(expected), str(actual)
-    return VerifyCase(case_id=cid, expected=e, actual=a, ok=e == a)
+    return VerifyCase(case_id=cid, expected=str(expected), actual=str(actual))
 
 
 def _bool_case(cid: str, value: bool) -> VerifyCase:
-    return VerifyCase(case_id=cid, expected="true", actual=str(value).lower(), ok=value)
+    return _case(cid, "true", str(value).lower())
 
 
 @_suite("theorem1", "max_order", top_order=lambda order: order)
@@ -133,28 +134,15 @@ _LEMMA1 = {
     "eq10": (KLEIN_ABUT, lambda n: 4 * n - 2, KLEIN_NONABUT, lambda n: 4 * n - 3),
 }
 
-LEMMA1_IDS = tuple(_LEMMA1)
-
-
-def lemma1_sides(which: str, n: int) -> tuple[int, int]:
-    """Counted left side and 2^n-scaled counted right side of a recurrence."""
-    if which not in _LEMMA1:
-        raise ValueError(f"unknown recurrence {which!r}")
-    if n < 1:
-        raise InvalidOrderError(f"n must be >= 1, got {n}")
-    kind_l, ord_l, kind_r, ord_r = _LEMMA1[which]
-    lhs = engines.count(dual_graph(build_quartered(ord_l(n), kind_l)))
-    rhs = engines.count(dual_graph(build_quartered(ord_r(n), kind_r)))
-    return lhs, (1 << n) * rhs
-
 
 @_suite("lemma1", "max_n", top_order=lambda n: 4 * n + 1)
 def suite_lemma1(max_n: int = 2) -> Iterator[VerifyCase]:
     """The four doubling recurrences, both sides counted independently."""
     for n in range(1, max_n + 1):
-        for which in LEMMA1_IDS:
-            lhs, scaled_rhs = lemma1_sides(which, n)
-            yield _case(f"{which}[n={n}]", scaled_rhs, lhs)
+        for which, (kind_l, ord_l, kind_r, ord_r) in _LEMMA1.items():
+            lhs = engines.count(dual_graph(build_quartered(ord_l(n), kind_l)))
+            rhs = engines.count(dual_graph(build_quartered(ord_r(n), kind_r)))
+            yield _case(f"{which}[n={n}]", (1 << n) * rhs, lhs)
 
 
 # Forced-edge identities: (id, family, larger order, smaller order).
@@ -217,32 +205,30 @@ def suite_lemma3(max_n: int = 2) -> Iterator[VerifyCase]:
 _HOLEY_SHAPES = ((2, 4), (2, 5), (3, 5), (3, 6))
 
 
+def _holey_cases(seed: int, fixed: tuple, positions: Callable[[int], range],
+                 builder: Callable[..., EmbeddedGraph], formula: Callable[..., int],
+                 label: str) -> Iterator[VerifyCase]:
+    """The fixed instance, then _HOLEY_TRIALS random hole sets per shape, drawn from positions(n)."""
+    rng = random.Random(seed)
+    instances = [fixed] + [(m, n, tuple(sorted(rng.sample(positions(n), m))))
+                           for m, n in _HOLEY_SHAPES for _ in range(_HOLEY_TRIALS)]
+    for m, n, holes in instances:
+        cid = label.format(m=m, n=n, holes=",".join(map(str, holes)))
+        yield _case(cid, formula(m, n, holes), engines.count(builder(m, n, holes)))
+
+
 @_suite("lemma4")
 def suite_lemma4() -> Iterator[VerifyCase]:
     """Hole-position formula equals engine count on fixed and random instances."""
-    rng = random.Random(_RANDOM_SEED)
-    instances = [(3, 5, (1, 3, 5))]
-    for m, n in _HOLEY_SHAPES:
-        for _ in range(_HOLEY_TRIALS):
-            instances.append((m, n, tuple(sorted(rng.sample(range(1, n + 1), m)))))
-    for m, n, kept in instances:
-        g = build_holey_ar(m, n, kept)
-        cid = f"ar({m},{n})keep={','.join(map(str, kept))}"
-        yield _case(cid, lemma4_value(m, n, kept), engines.count(g))
+    yield from _holey_cases(_RANDOM_SEED, (3, 5, (1, 3, 5)), lambda n: range(1, n + 1),
+                            build_holey_ar, lemma4_value, "ar({m},{n})keep={holes}")
 
 
 @_suite("lemma5")
 def suite_lemma5() -> Iterator[VerifyCase]:
     """Bottomless variant of the hole-position formula, same scheme."""
-    rng = random.Random(_RANDOM_SEED + 1)
-    instances = [(3, 5, (3, 4, 6))]
-    for m, n in _HOLEY_SHAPES:
-        for _ in range(_HOLEY_TRIALS):
-            instances.append((m, n, tuple(sorted(rng.sample(range(1, n + 2), m)))))
-    for m, n, removed in instances:
-        g = build_holey_ar_bar(m, n, removed)
-        cid = f"arbar({m},{n})remove={','.join(map(str, removed))}"
-        yield _case(cid, lemma5_value(m, n, removed), engines.count(g))
+    yield from _holey_cases(_RANDOM_SEED + 1, (3, 5, (3, 4, 6)), lambda n: range(1, n + 2),
+                            build_holey_ar_bar, lemma5_value, "arbar({m},{n})remove={holes}")
 
 
 @_suite("lemma6", "max_n", top_order=lambda n: n)
@@ -269,18 +255,13 @@ def suite_factorization(max_n: int = 2) -> Iterator[VerifyCase]:
         yield _case(name, m_g, product)
 
 
-def random_grid_subgraph(rng: random.Random) -> EmbeddedGraph:
-    """Induced subgraph of the 6x6 grid with each vertex kept at 1/2."""
-    cells = [(i, j) for i in range(_GRID_SIDE) for j in range(_GRID_SIDE) if rng.random() < 0.5]
-    return EmbeddedGraph.from_points(cells)
-
-
 @_suite("engines")
 def suite_engines() -> Iterator[VerifyCase]:
-    """All engines agree on random induced subgraphs of the 6x6 grid."""
+    """All engines agree on induced subgraphs of the 6x6 grid, each vertex kept at 1/2."""
     rng = random.Random(_RANDOM_SEED)
     for k in range(_ENGINE_TRIALS):
-        g = random_grid_subgraph(rng)
+        g = EmbeddedGraph.from_points([(i, j) for i in range(_GRID_SIDE)
+                                       for j in range(_GRID_SIDE) if rng.random() < 0.5])
         brute = engines.count_brute(g)
         yield _case(f"rnd#{k:03d}:dp", brute, engines.count_profile_dp(g))
         if engines.fkt_supported(g):  # fkt counts every graph; the gate fixes the case list

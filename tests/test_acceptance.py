@@ -41,7 +41,7 @@ from aztec_tilings.regions import (
     set_A,
     set_B,
 )
-from aztec_tilings.verify import LEMMA1_IDS, lemma1_sides
+from aztec_tilings.verify import run_suite
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -90,10 +90,11 @@ def test_criterion_02_closed_forms_match_counts():
 def test_criterion_03_doubling_recurrences():
     budget = 60.0
     t0 = time.monotonic()
-    for n in (1, 2):
-        for which in LEMMA1_IDS:
-            lhs, scaled_rhs = lemma1_sides(which, n)
-            assert lhs == scaled_rhs, (which, n)
+    report = run_suite("lemma1", max_n=2)
+    assert [c.case_id for c in report.cases] == [
+        f"{which}[n={n}]" for n in (1, 2) for which in ("eq7", "eq8", "eq9", "eq10")]
+    for case in report.cases:
+        assert case.ok, case
     elapsed = time.monotonic() - t0
     assert elapsed < budget
     _report(3, f"four doubling recurrences hold for n=1,2 in {elapsed:.2f}s")

@@ -119,6 +119,15 @@ def test_an_option_the_input_or_family_does_not_read_exits_2(args, unread, tmp_p
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("command", ("count", "render"))
+def test_deeply_nested_json_input_exits_2_without_a_traceback(command):
+    # json.load raises RecursionError, not ValueError, past the interpreter's recursion limit
+    proc = run_cli(command, "--input", "-", stdin="[" * 100_000 + "]" * 100_000)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("cannot read region/graph JSON from -:")
+    assert "Traceback" not in proc.stderr
+
+
 def test_a_closed_stdout_exits_neither_0_nor_1_and_prints_no_traceback():
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")

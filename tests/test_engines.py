@@ -471,7 +471,8 @@ def test_count_disagreement_raises(monkeypatch):
 def test_crosscheck_past_brute_limit_uses_fkt(monkeypatch):
     from aztec_tilings import engines as eng
 
-    g = dual_graph(build_aztec_diamond(4))  # 40 vertices: too many for brute
+    # 40 vertices: brute could count it, but it is past AUTO_CROSSCHECK_BELOW (24)
+    g = dual_graph(build_aztec_diamond(4))
     monkeypatch.setattr(eng, "count_fkt", lambda _: 99)
     with pytest.raises(CountMismatchError):
         eng.count(g, engine="profile_dp", crosscheck=True)
@@ -480,7 +481,8 @@ def test_crosscheck_past_brute_limit_uses_fkt(monkeypatch):
 def test_auto_crosscheck_past_brute_limit_uses_profile_dp(monkeypatch):
     from aztec_tilings import engines as eng
 
-    g = dual_graph(build_aztec_diamond(4))  # auto counts it by fkt
+    # auto counts it by fkt; at 40 vertices it is past AUTO_CROSSCHECK_BELOW (24) for brute
+    g = dual_graph(build_aztec_diamond(4))
     monkeypatch.setattr(eng, "count_profile_dp", lambda _: 99)
     with pytest.raises(CountMismatchError):
         eng.count(g, engine="auto", crosscheck=True)

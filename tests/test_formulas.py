@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 
@@ -28,7 +29,7 @@ from aztec_tilings.regions import (
     set_A,
     set_B,
 )
-from aztec_tilings.verify import LEMMA1_IDS, lemma1_sides
+from aztec_tilings.verify import run_suite
 
 # Closed-form values for small orders, frozen from brute-force counting of
 # the constructed regions.
@@ -269,11 +270,16 @@ def test_delta_sign_follows_the_order(values):
         assert delta(s) == (-1) ** inversions * delta(tuple(sorted(s)))
 
 
-@pytest.mark.parametrize("which", LEMMA1_IDS)
+@functools.cache
+def _lemma1_cases() -> dict:
+    """The lemma1 suite's cases for n = 1, 2 by id: expected 2^n M(right), actual M(left)."""
+    return {c.case_id: c for c in run_suite("lemma1", max_n=2).cases}
+
+
+@pytest.mark.parametrize("which", ("eq7", "eq8", "eq9", "eq10"))
 @pytest.mark.parametrize("n", (1, 2))
 def test_doubling_recurrences(which, n):
-    lhs, scaled_rhs = lemma1_sides(which, n)
-    assert lhs == scaled_rhs
+    assert _lemma1_cases()[f"{which}[n={n}]"].ok
 
 
 @pytest.mark.parametrize("n", (1, 2))
@@ -296,10 +302,7 @@ def test_counted_rectangle_ratios_equal_delta_ratio(n):
 
 
 def test_doubling_recurrence_examples():
-    assert lemma1_sides("eq7", 1) == (2, 2)
-    assert lemma1_sides("eq9", 1) == (6, 6)
-    assert lemma1_sides("eq10", 1) == (2, 2)
-    with pytest.raises(ValueError):
-        lemma1_sides("eq99", 1)
-    with pytest.raises(InvalidOrderError):
-        lemma1_sides("eq7", 0)
+    cases = _lemma1_cases()
+    for which, value in (("eq7", "2"), ("eq9", "6"), ("eq10", "2")):
+        case = cases[f"{which}[n=1]"]
+        assert (case.expected, case.actual) == (value, value), which

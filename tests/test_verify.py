@@ -21,6 +21,20 @@ def test_each_suite_passes():
         assert report.ok, report.pretty()
 
 
+def test_a_case_is_ok_iff_its_strings_agree():
+    assert verify.VerifyCase("x", "1", "2").ok is False
+    assert verify.VerifyCase("x", "1", "1").ok is True
+
+
+@pytest.mark.parametrize("name,cases", [("lemma3", 4), ("factorization", 5)])
+def test_a_graph_with_no_diagonal_axis_fails_its_axis_case(name, cases, monkeypatch):
+    monkeypatch.setattr(verify, "find_diagonal_axis", lambda g: None)
+    report = verify.run_suite(name, max_n=1)
+    assert len(report.cases) == cases
+    assert all(c.case_id.endswith(":axis") and not c.ok for c in report.cases)
+    assert not report.ok
+
+
 def test_engines_suite_has_enough_trials():
     report = verify.suite_engines()
     assert report.ok
