@@ -41,7 +41,7 @@ _FAMILY_OPTIONS = ("n", "m", "keep", "remove")
 
 def _parse_positions(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(part) for part in text.split(",") if part != "")
+        return tuple(int(part) for part in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 

@@ -15,7 +15,7 @@ that gates the `engines` verify suite's `:fkt` cases.
 from __future__ import annotations
 
 from .errors import CountMismatchError, TooLargeError
-from .grids import EmbeddedGraph, Point, connected_components
+from .grids import EmbeddedGraph, Point
 
 BRUTE_VERTEX_LIMIT = 40
 PROFILE_STATE_LIMIT = 1 << 18
@@ -82,8 +82,8 @@ def count_profile_dp(g: EmbeddedGraph) -> int:
         for r, y in enumerate(rows):
             bit = 1 << r
             here = (x, y) in pts
-            takes_left = here and (x - 1, y) in pts and ((x - 1, y), (x, y)) in edge_set
-            takes_down = here and (x, y - 1) in pts and ((x, y - 1), (x, y)) in edge_set
+            takes_left = ((x - 1, y), (x, y)) in edge_set
+            takes_down = ((x, y - 1), (x, y)) in edge_set
             nxt: dict[int, int] = {}
             get = nxt.get
             for mask, ways in states.items():
@@ -218,9 +218,9 @@ def fkt_supported(g: EmbeddedGraph) -> bool:
 
     No engine needs this: count_fkt counts every grid graph.  The
     `engines` verify suite gates its `:fkt` cases on it, which keeps that
-    suite's case list fixed.  Euler count: a planar embedding with V
-    vertices, E edges and C components has E - V + C bounded faces, and
-    each fully-edged unit square is necessarily one of them.
+    suite's case list fixed.  A planar embedding with V vertices, E edges
+    and C components has E - V + C bounded faces, one per edge that closes
+    a cycle, and each fully-edged unit square is necessarily one of them.
     """
     edge_set = set(g.edges)
     squares = 0
@@ -232,8 +232,21 @@ def fkt_supported(g: EmbeddedGraph) -> bool:
             and ((x, y + 1), (x + 1, y + 1)) in edge_set
         ):
             squares += 1
-    c = len(connected_components(g))
-    return len(g.edges) - len(g.vertices) + c == squares
+    parent = {p: p for p in g.vertices}
+
+    def root(p: Point) -> Point:
+        while parent[p] != p:
+            parent[p] = p = parent[parent[p]]  # path halving
+        return p
+
+    cycles = 0
+    for p, q in g.edges:
+        a, b = root(p), root(q)
+        if a == b:
+            cycles += 1
+        else:
+            parent[a] = b
+    return cycles == squares
 
 
 def _dissection_order(points: list[Point]) -> list[Point]:

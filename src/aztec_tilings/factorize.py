@@ -79,8 +79,7 @@ def apply_factorization(g: EmbeddedGraph, axis: DiagonalAxis) -> FactorizationRe
     therefore leaves G+ as g induced on the upper side plus the 1st, 3rd,
     ... on-axis vertex, and G- as g induced on the rest.
     """
-    check = _axis_if_valid(g, axis.slope)
-    if check is None or check != axis:
+    if _axis_if_valid(g, axis.slope) != axis:
         raise FactorizationError("axis is not a valid symmetry axis for this graph")
     c = axis.offset
     if axis.slope == SLOPE_UP:

@@ -97,10 +97,9 @@ def lemma4_value(m: int, n: int, a: tuple[int, ...]) -> int:
 
 
 def lemma5_value(m: int, n: int, a: tuple[int, ...]) -> int:
-    """Matching count of the bottomless rectangle graph with holes at a."""
-    check_index_set(a, m, n + 1)
-    return _as_int(_product(_differences(a)), _product(_differences(range(1, m + 1))),
-                   m * (m - 1) // 2)
+    """Matching count of the bottomless rectangle graph with holes at a: lemma4's
+    count at width n + 1 over 2^m, as the forms differ only in 2^(m(m+1)/2) vs 2^(m(m-1)/2)."""
+    return _as_int(lemma4_value(m, n + 1, a), 1 << m)
 
 
 def delta(s: tuple[int, ...]) -> int:

@@ -292,25 +292,3 @@ def isomorphic_embedded(g1: EmbeddedGraph, g2: EmbeddedGraph) -> bool:
     if len(g1.vertices) != len(g2.vertices) or len(g1.edges) != len(g2.edges):
         return False
     return not g1.vertices or any(_maps_onto(g1, g2, _SIGN_SWAP))
-
-
-def connected_components(g: EmbeddedGraph) -> list[set[Point]]:
-    """Components as point sets, ordered by their smallest point."""
-    adj = g.adjacency()
-    seen: set[Point] = set()
-    comps = []
-    for start in g.vertices:
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        seen.add(start)
-        while stack:
-            p = stack.pop()
-            for q in adj[p]:
-                if q not in seen:
-                    seen.add(q)
-                    comp.add(q)
-                    stack.append(q)
-        comps.append(comp)
-    return comps

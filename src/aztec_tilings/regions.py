@@ -19,7 +19,7 @@ Coordinate conventions, fixed once and validated by tiling counts:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import InvalidHolesError, InvalidOrderError
 from .grids import EmbeddedGraph, dual_graph, isomorphic_embedded, json_int_pairs
@@ -47,11 +47,8 @@ class Region:
     def __len__(self) -> int:
         return len(self.cells)
 
-    def sorted_cells(self) -> list[Cell]:
-        return sorted(self.cells)
-
     def to_json_dict(self) -> dict:
-        return {"name": self.name, "cells": [list(c) for c in self.sorted_cells()]}
+        return {"name": self.name, "cells": [list(c) for c in sorted(self.cells)]}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Region":
@@ -140,11 +137,6 @@ def bottom_row_points(n: int) -> list[tuple[int, int]]:
     return [(k, n + 1 - k) for k in range(1, n + 1)]
 
 
-def second_row_points(n: int) -> list[tuple[int, int]]:
-    """Rotated coordinates of the next row up, positions 1..n+1 left to right."""
-    return [(k, n + 2 - k) for k in range(1, n + 2)]
-
-
 def build_aztec_rectangle(m: int, n: int) -> EmbeddedGraph:
     """The m x n rectangle graph on white squares with diagonal adjacency."""
     _require_order(m)
@@ -162,33 +154,28 @@ def check_index_set(values: tuple[int, ...], size: int, width: int) -> None:
         raise InvalidHolesError(f"positions {values} outside 1..{width}")
 
 
-def build_holey_ar(m: int, n: int, keep: Iterable[int]) -> EmbeddedGraph:
-    """Rectangle graph with the bottom row removed except at m kept positions."""
+def _holey_rectangle(m: int, n: int, positions: Iterable[int], width: int,
+                     holes: Callable[[tuple[int, ...]], set[tuple[int, int]]]) -> EmbeddedGraph:
+    """The m x n rectangle graph less holes(positions): both orders, then the m
+    positions against 1..width, are checked before any point is built."""
     _require_order(m)
     _require_order(n)
-    kept = tuple(keep)
-    check_index_set(kept, m, n)
-    pts = _ar_points(m, n)
-    row = bottom_row_points(n)
-    for pos in range(1, n + 1):
-        if pos not in kept:
-            pts.discard(row[pos - 1])
-    return EmbeddedGraph.from_points(pts)
+    positions = tuple(positions)
+    check_index_set(positions, m, width)
+    return EmbeddedGraph.from_points(_ar_points(m, n) - holes(positions))
+
+
+def build_holey_ar(m: int, n: int, keep: Iterable[int]) -> EmbeddedGraph:
+    """Rectangle graph with the bottom row removed except at m kept positions."""
+    return _holey_rectangle(m, n, keep, n, lambda kept: {
+        p for pos, p in enumerate(bottom_row_points(n), 1) if pos not in kept})
 
 
 def build_holey_ar_bar(m: int, n: int, remove: Iterable[int]) -> EmbeddedGraph:
     """Rectangle graph minus its whole bottom row, then m more holes above it."""
-    _require_order(m)
-    _require_order(n)
-    removed = tuple(remove)
-    check_index_set(removed, m, n + 1)
-    pts = _ar_points(m, n)
-    for p in bottom_row_points(n):
-        pts.discard(p)
-    row = second_row_points(n)
-    for pos in removed:
-        pts.discard(row[pos - 1])
-    return EmbeddedGraph.from_points(pts)
+    # (k, n + 2 - k) is position k of the next row up, 1..n+1 left to right
+    return _holey_rectangle(m, n, remove, n + 1, lambda removed: {
+        *bottom_row_points(n), *((k, n + 2 - k) for k in removed)})
 
 
 def _require_order(n: int) -> None:

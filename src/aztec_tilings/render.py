@@ -29,7 +29,7 @@ def ascii_cells(cells) -> str:
 
 def svg_region(region: Region) -> str:
     """Unit squares with a light outline, y axis pointing up."""
-    cells = region.sorted_cells()
+    cells = sorted(region.cells)
     if not cells:
         return '<svg xmlns="http://www.w3.org/2000/svg" width="0" height="0"/>'
     xs = [i for i, _ in cells]

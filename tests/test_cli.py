@@ -93,6 +93,16 @@ def test_invalid_input_exits_2():
     assert run_cli("count").returncode == 2
 
 
+@pytest.mark.parametrize("positions", ["1,,3", ",2,3", "1,3,"])
+@pytest.mark.parametrize("family,option", [("ar_holey", "--keep"), ("ar_bar", "--remove")])
+def test_an_empty_position_item_exits_2(positions, family, option):
+    proc = run_cli("count", "--family", family, "--m", "2", "--n", "4", option, positions)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert f"expected comma-separated integers, got {positions!r}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize(
     "args,unread",
     [

@@ -97,6 +97,52 @@ def test_fkt_counts_a_ring():
     assert count_fkt(ring) == count_brute(ring) == 2
 
 
+def _euler_supported(g):
+    # The Euler count by a component walk: E - V + C bounded faces, all unit squares.
+    adj, seen, components = g.adjacency(), set(), 0
+    for start in g.vertices:
+        if start not in seen:
+            components += 1
+            seen.add(start)
+            stack = [start]
+            while stack:
+                fresh = adj[stack.pop()] - seen
+                seen |= fresh
+                stack += fresh
+    edges = set(g.edges)
+    squares = sum(all(e in edges for e in (((x, y), (x + 1, y)), ((x, y), (x, y + 1)),
+                                             ((x + 1, y), (x + 1, y + 1)), ((x, y + 1), (x + 1, y + 1))))
+                  for x, y in g.vertices)
+    return len(g.edges) - len(g.vertices) + components == squares
+
+
+@pytest.mark.parametrize("points, supported", [
+    (FOUR_CYCLE.vertices + ((5, 5),), True),  # an isolated vertex beside a 4-cycle
+    (FOUR_CYCLE.vertices + ((3, 0), (4, 0), (3, 1), (4, 1)), True),  # two disjoint 4-cycles
+    (_ring(0, 3) + [(9, 9)], False),  # a ring's 8-edge face, plus an isolated vertex
+    ((), True),
+])
+def test_fkt_supported_counts_faces_per_component(points, supported):
+    g = EmbeddedGraph.from_points(points)
+    assert fkt_supported(g) == _euler_supported(g) == supported
+
+
+@st.composite
+def thinned_grids(draw):
+    w, h = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    cells = sorted((x, y) for x in range(w) for y in range(h))
+    g = EmbeddedGraph.from_points(set(cells) - draw(st.frozensets(st.sampled_from(cells))))
+    drop = draw(st.sampled_from((0.0, 0.1, 0.3)))
+    rng = draw(st.randoms(use_true_random=False))
+    return EmbeddedGraph.from_points(g.vertices, [e for e in g.edges if rng.random() >= drop])
+
+
+@settings(max_examples=300, deadline=None)
+@given(thinned_grids())
+def test_fkt_supported_matches_the_euler_count(g):
+    assert fkt_supported(g) == _euler_supported(g)
+
+
 @pytest.mark.parametrize("centre", [[], [(3, 3)]])
 def test_fkt_counts_nested_rings(centre):
     # a 3x3 ring inside the bounded face of a 7x7 ring, with no edge between them

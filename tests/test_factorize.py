@@ -62,6 +62,14 @@ def test_no_axis_for_horizontal_domino():
     assert find_diagonal_axis(EmbeddedGraph.from_points([(0, 0), (1, 0)])) is None
 
 
+@pytest.mark.parametrize("slope", [1, -1])
+def test_axis_rejected_on_a_graph_with_none_of_its_slope(slope):
+    # a horizontal domino has no diagonal symmetry, so no axis of either slope fits it
+    foreign = DiagonalAxis(slope=slope, offset=0, on_axis=((0, 0),))
+    with pytest.raises(FactorizationError, match="not a valid symmetry axis"):
+        apply_factorization(EmbeddedGraph.from_points([(0, 0), (1, 0)]), foreign)
+
+
 def test_no_axis_when_only_the_vertices_are_symmetric():
     # the vertex set is symmetric about both diagonals, the edge set about neither
     g = EmbeddedGraph(vertices=FOUR_CYCLE.vertices, edges=FOUR_CYCLE.edges[1:])
@@ -173,6 +181,14 @@ def test_invalid_axis_rejected():
     with pytest.raises(FactorizationError):
         apply_factorization(build_holey_ar(2, 4, set_B(1)), foreign)
     assert find_diagonal_axis(EmbeddedGraph.from_points([(0, 0), (1, 0)])) is None
+
+
+@pytest.mark.parametrize("slope", [1, -1])
+def test_axis_rejected_on_a_graph_with_none_of_its_slope(slope):
+    # a horizontal domino has no diagonal symmetry, so no axis of either slope fits it
+    foreign = DiagonalAxis(slope=slope, offset=0, on_axis=((0, 0),))
+    with pytest.raises(FactorizationError, match="not a valid symmetry axis"):
+        apply_factorization(EmbeddedGraph.from_points([(0, 0), (1, 0)]), foreign)
 
 
 def placed(g, k, dx, dy):

@@ -159,6 +159,15 @@ def test_non_integral_ratio_is_a_mismatch():
         _as_int(3, 8, 2)
 
 
+def test_lemma5_raises_on_an_odd_lemma4_value(monkeypatch):
+    # lemma5 is lemma4 over 2^m, so a remainder is a mismatch, never a floor
+    from aztec_tilings import formulas
+
+    monkeypatch.setattr(formulas, "lemma4_value", lambda m, n, a: 2 ** (m * (m + 1) // 2) + 1)
+    with pytest.raises(CountMismatchError):
+        formulas.lemma5_value(2, 3, (1, 4))
+
+
 def test_hole_formulas_of_no_holes():
     assert lemma4_value(0, 5, ()) == lemma5_value(0, 5, ()) == 1
 

@@ -8,7 +8,6 @@ from aztec_tilings.engines import count_brute
 from aztec_tilings.grids import (
     EmbeddedGraph,
     LATTICE_SYMMETRIES,
-    connected_components,
     dual_graph,
     induced_subgraph,
     isomorphic_embedded,
@@ -319,12 +318,6 @@ def test_chiral_shape_is_isomorphic_to_its_mirror_image():
     for k in range(4):
         assert at_origin([LATTICE_SYMMETRIES[k](*p) for p in cells]) != at_origin(mirror.vertices)
     assert isomorphic_embedded(EmbeddedGraph.from_points(cells), mirror)
-
-
-def test_components_include_isolated_vertices():
-    g = EmbeddedGraph.from_points([(0, 0), (1, 0), (9, 9)])
-    comps = connected_components(g)
-    assert sorted(len(c) for c in comps) == [1, 2]
 
 
 @settings(max_examples=300, deadline=None)

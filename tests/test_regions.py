@@ -1,10 +1,13 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aztec_tilings.errors import InvalidHolesError, InvalidOrderError
-from aztec_tilings.grids import LATTICE_SYMMETRIES, dual_graph
-from aztec_tilings.engines import count_brute
+from aztec_tilings.grids import LATTICE_SYMMETRIES, dual_graph, induced_subgraph
+from aztec_tilings.engines import count, count_brute
+from aztec_tilings.formulas import lemma4_value, lemma5_value
 from aztec_tilings.regions import (
     KLEIN_ABUT,
     KLEIN_NONABUT,
@@ -251,6 +254,38 @@ def test_holey_rectangle_keep():
 def test_holey_rectangle_remove():
     assert len(build_holey_ar_bar(3, 5, (3, 4, 6))) == 30
     assert len(build_holey_ar_bar(2, 3, (1, 4))) == 12
+
+
+def _position_sets(m_max, width):
+    return [a for m in range(1, m_max + 1) for a in combinations(range(1, width + 1), m)]
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_holey_rectangles_are_the_rectangle_less_hand_built_holes(n):
+    full = build_aztec_rectangle(1, n)
+    bottom = bottom_row_points(n)
+    for k in range(1, n + 1):
+        unkept = set(bottom) - {bottom[k - 1]}
+        assert build_holey_ar(1, n, (k,)) == induced_subgraph(full, set(full.vertices) - unkept)
+    for k in range(1, n + 2):
+        holes = {*bottom, (k, n + 2 - k)}
+        assert build_holey_ar_bar(1, n, (k,)) == induced_subgraph(full, set(full.vertices) - holes)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_holey_rectangle_counts_match_lemmas_4_and_5(n):
+    for a in _position_sets(3, n):
+        assert count(build_holey_ar(len(a), n, a)) == lemma4_value(len(a), n, a)
+    for a in _position_sets(3, n + 1):
+        assert count(build_holey_ar_bar(len(a), n, a)) == lemma5_value(len(a), n, a)
+
+
+def test_holey_checks_orders_before_positions():
+    for build in (build_holey_ar, build_holey_ar_bar):
+        with pytest.raises(InvalidOrderError):
+            build(0, 4, (9,))
+        with pytest.raises(InvalidOrderError):
+            build(2, MAX_ORDER + 1, (9,))
 
 
 def test_holey_rejects_bad_positions():
