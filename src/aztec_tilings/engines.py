@@ -14,6 +14,9 @@ that gates the `engines` verify suite's `:fkt` cases.
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heapreplace
+from typing import Iterator
+
 from .errors import CountMismatchError, TooLargeError
 from .grids import EmbeddedGraph, Point
 
@@ -21,6 +24,9 @@ BRUTE_VERTEX_LIMIT = 40
 PROFILE_STATE_LIMIT = 1 << 18
 AUTO_CROSSCHECK_BELOW = 24
 _LEAF_WIDTH = 4
+# count_fkt's rule for pivoting fewest holders first, read off BENCH_22.json's table
+_HOLDERS_MAX_VERTICES = 1000
+_HOLDERS_MIN_SIDE = 20
 
 
 def count_brute(g: EmbeddedGraph) -> int:
@@ -111,7 +117,27 @@ def count_profile_dp(g: EmbeddedGraph) -> int:
     return states.get(full, 0)
 
 
-def _abs_det(rows: list[dict[int, int]]) -> int:
+def _fewest_holders(holders: list[set[int]]) -> Iterator[int]:
+    """Each column once, next the one with fewest holders when drawn, ties to the lowest.
+
+    A lazy min-heap of (holder count, column) packed into one int: a top entry
+    whose count went stale while the caller eliminated goes back with the new one.
+    """
+    shift = len(holders).bit_length()
+    mask = (1 << shift) - 1
+    heap = [len(live) << shift | k for k, live in enumerate(holders)]
+    heapify(heap)
+    while heap:
+        k = heap[0] & mask
+        key = len(holders[k]) << shift | k
+        if key == heap[0]:
+            heappop(heap)
+            yield k
+        else:
+            heapreplace(heap, key)
+
+
+def _abs_det(rows: list[dict[int, int]], by_holders: bool = False) -> int:
     """|det| of a square matrix as sparse rows (column -> nonzero entry), consumed.
 
     One pass over the columns clears each that has a +-1 entry u, in its lowest
@@ -119,15 +145,18 @@ def _abs_det(rows: list[dict[int, int]]) -> int:
     place, which keeps det, touches only row p's columns and divides by nothing;
     row p and the column then leave, taking a factor +-u.  `holders` changes
     only where an entry appears or cancels.  Every entry left is +- a minor of
-    the input, as the pivots' block has det +-1.  A column with no +-1 holder
-    waits for `_bareiss`; one with no holder at all makes det 0.
+    the input, as the pivots' block has det +-1.  Columns come in index order
+    or, by_holders, from `_fewest_holders`.  A column with no +-1 holder waits
+    for `_bareiss`, which takes them in index order; one with no holder at all
+    makes det 0.
     """
     holders: list[set[int]] = [set() for _ in rows]  # column -> rows with an entry
     for i, row in enumerate(rows):
         for j in row:
             holders[j].add(i)
     waiting = []
-    for k, live in enumerate(holders):
+    for k in _fewest_holders(holders) if by_holders else range(len(rows)):
+        live = holders[k]
         if not live:
             return 0
         p = len(rows)
@@ -158,7 +187,7 @@ def _abs_det(rows: list[dict[int, int]]) -> int:
                     else:
                         del row[j]
                         holders[j].discard(i)
-    return _bareiss(rows, holders, waiting)
+    return _bareiss(rows, holders, sorted(waiting))
 
 
 def _bareiss(rows: list[dict[int, int]], holders: list[set[int]], columns: list[int]) -> int:
@@ -303,23 +332,30 @@ def count_fkt(g: EmbeddedGraph) -> int:
     are matched among themselves, so J is even and each such cycle signs
     (-1)^(k - 1): Kasteleyn's condition, under which every perfect
     matching adds the same sign to the determinant and |det| is the
-    count.  Rows and columns both follow `_dissection_order`, which keeps
-    the elimination's fill in each block and its separator; reordering rows
-    or columns only flips the sign of det, so |det| is the same in any order.
-    `_abs_det` pivots on a +-1 entry wherever one is left, so Bareiss runs
-    only on a small tail: n columns on ad(n), 27 of 2328 on r(96).
+    count.  Reordering rows or columns only flips the sign of det.  Graphs
+    of more than _HOLDERS_MAX_VERTICES vertices, or less than
+    _HOLDERS_MIN_SIDE wide either way, number both in `_dissection_order`,
+    which keeps the fill in each block and its separator.  Others keep
+    vertex order, and `_abs_det` takes columns fewest holders first, as the
+    order costs them more than it saves (BENCH_22.json); every placement of
+    a shape takes the same path.  `_abs_det` pivots on a +-1 entry wherever
+    one is left, so Bareiss runs only on a small tail: n columns on ad(n)
+    on either path, 27 of 2328 on r(96).
     """
-    if 2 * sum((x + y) % 2 for x, y in g.vertices) != len(g.vertices):
+    vs = g.vertices
+    if 2 * sum((x + y) % 2 for x, y in vs) != len(vs):
         return 0
+    right: dict[tuple[int, int], int] = {}  # point -> vertices right of it in its row
+    seen: dict[int, int] = {}  # row -> its vertices, less one
+    for x, y in reversed(vs):
+        right[x, y] = seen[y] = seen.get(y, -1) + 1
+    by_holders = not vs or len(vs) <= _HOLDERS_MAX_VERTICES and min(
+        vs[-1][0] - vs[0][0], max(seen) - min(seen)) + 1 >= _HOLDERS_MIN_SIDE
     row: dict[Point, int] = {}  # even point -> its row
     col: dict[Point, int] = {}  # odd point -> its column
-    for p in _dissection_order(list(g.vertices)):
+    for p in vs if by_holders else _dissection_order(list(vs)):
         index = col if (p[0] + p[1]) % 2 else row
         index[p] = len(index)
-    right: dict[tuple[int, int], int] = {}  # point -> vertices right of it in its row
-    seen: dict[int, int] = {}
-    for x, y in reversed(g.vertices):
-        right[x, y] = seen[y] = seen.get(y, -1) + 1
     rows: list[dict[int, int]] = [{} for _ in row]
     for p, q in g.edges:
         # p is the smaller point, so the lower end of a vertical edge
@@ -329,7 +365,7 @@ def count_fkt(g: EmbeddedGraph) -> int:
             rows[row[q]][col[p]] = sign
         else:
             rows[i][col[q]] = sign
-    return _abs_det(rows)
+    return _abs_det(rows, by_holders)
 
 
 _DISPATCH = {

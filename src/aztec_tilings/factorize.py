@@ -43,8 +43,8 @@ class FactorizationResult:
 def _axis_if_valid(g: EmbeddedGraph, slope: int) -> DiagonalAxis | None:
     # The reflection in y = x + c is the swap (x, y) -> (y - c, x + c), and the one in
     # x + y = c is (x, y) -> (c - y, c - x).  Mapping g onto itself, either one maps
-    # the leftmost column onto the lowest row, which fixes c.
-    if not next(_maps_onto(g, g, [(True, slope, slope)])):
+    # the leftmost column onto the lowest row, which fixes c.  The empty graph has no axis.
+    if not g.vertices or not next(_maps_onto(g, g, [(True, slope, slope)])):
         return None
     xs, ys = _coords(g.vertices)
     c = min(ys) - xs[0] if slope == SLOPE_UP else min(ys) + xs[-1]
@@ -62,8 +62,6 @@ def find_diagonal_axis(g: EmbeddedGraph) -> DiagonalAxis | None:
     Each slope has at most one candidate: the reflection maps the leftmost
     column onto the lowest row, so its offset is fixed by the vertices.
     """
-    if not g.vertices:
-        return None
     for slope in (SLOPE_UP, SLOPE_DOWN):
         axis = _axis_if_valid(g, slope)
         if axis is not None:

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from aztec_tilings import engines as eng
 from aztec_tilings.engines import (
+    BRUTE_VERTEX_LIMIT,
     _abs_det,
     _bareiss,
     _dissection_order,
@@ -71,8 +73,6 @@ def test_profile_dp_degenerate_cases():
 
 
 def test_profile_dp_state_budget(monkeypatch):
-    from aztec_tilings import engines as eng
-
     g = dual_graph(build_aztec_diamond(8))  # its sweep peaks at 8502 live states
     monkeypatch.setattr(eng, "PROFILE_STATE_LIMIT", 1000)
     with pytest.raises(TooLargeError):
@@ -150,19 +150,20 @@ def test_fkt_counts_nested_rings(centre):
     assert count_fkt(g) == count_profile_dp(g) == count_brute(g) == (0 if centre else 4)
 
 
-def test_empty_graph_has_one_matching():
+def _no_order(points):
+    raise AssertionError("_dissection_order called")
+
+
+def test_empty_graph_has_one_matching(monkeypatch):
+    # the empty graph is small enough to pivot fewest-holders-first, with no order built
+    monkeypatch.setattr(eng, "_dissection_order", _no_order)
     assert count_fkt(EMPTY) == 1
     assert count(EMPTY) == 1
 
 
 def test_fkt_imbalanced_returns_zero(monkeypatch):
     # an unbalanced graph is answered before the dissection order is built
-    from aztec_tilings import engines as eng
-
-    def no_order(points):
-        raise AssertionError("dissection order built for an unbalanced graph")
-
-    monkeypatch.setattr(eng, "_dissection_order", no_order)
+    monkeypatch.setattr(eng, "_dissection_order", _no_order)
     path = EmbeddedGraph.from_points([(0, 0), (1, 0), (2, 0)])
     assert count_fkt(path) == 0
     diamond = dual_graph(build_aztec_diamond(6))
@@ -172,8 +173,6 @@ def test_fkt_imbalanced_returns_zero(monkeypatch):
 @pytest.fixture
 def tail_sizes(monkeypatch):
     """The order of each matrix that `_abs_det` hands on to its Bareiss tail."""
-    from aztec_tilings import engines as eng
-
     sizes = []
     bareiss = eng._bareiss
 
@@ -434,6 +433,51 @@ def holey_rectangles(draw, width, height):
     return cells - draw(st.frozensets(st.sampled_from(sorted(cells)), max_size=4))
 
 
+def _count_fkt_by(by_holders, g):
+    """count_fkt with its column source forced: fewest holders first, or the dissection order."""
+    saved = eng._HOLDERS_MAX_VERTICES, eng._HOLDERS_MIN_SIDE
+    eng._HOLDERS_MAX_VERTICES, eng._HOLDERS_MIN_SIDE = (10**9, 0) if by_holders else (-1, 0)
+    try:
+        return count_fkt(g)
+    finally:
+        eng._HOLDERS_MAX_VERTICES, eng._HOLDERS_MIN_SIDE = saved
+
+
+@st.composite
+def rings(draw):
+    """A square ring, sometimes around a second ring or a point, sometimes less one cell."""
+    lo, hi = draw(st.integers(-3, 3)), draw(st.integers(2, 9))
+    cells = _ring(lo, lo + hi)
+    if hi >= 7:
+        cells += draw(st.sampled_from(([], [(lo + 3, lo + 3)], _ring(lo + 2, lo + hi - 2))))
+    drop = draw(st.sampled_from([None, *cells]))
+    return EmbeddedGraph.from_points(p for p in cells if p != drop)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(holey_rectangles(6, 6).map(EmbeddedGraph.from_points), rings(), thinned_grids()))
+def test_both_column_sources_give_the_same_count(g):
+    by_holders = _count_fkt_by(True, g)
+    assert by_holders == _count_fkt_by(False, g)
+    if len(g.vertices) <= BRUTE_VERTEX_LIMIT:
+        assert by_holders == count_brute(g)
+
+
+def test_the_rule_picks_the_column_source(monkeypatch):
+    monkeypatch.setattr(eng, "_dissection_order", _no_order)
+    # r(24), V = 300 on a 24 x 24 box: fewest holders first, no order built
+    assert count_fkt(dual_graph(build_quartered(24, PINWHEEL))) == theorem1_value(PINWHEEL, 24)
+    # a 6 x 100 strip is small, but too thin; ad(22) is wide, but too large
+    strip = EmbeddedGraph.from_points([(i, j) for i in range(6) for j in range(100)])
+    assert len(strip.vertices) <= eng._HOLDERS_MAX_VERTICES
+    with pytest.raises(AssertionError, match="_dissection_order called"):
+        count_fkt(strip)
+    large = dual_graph(build_aztec_diamond(22))
+    assert len(large.vertices) > eng._HOLDERS_MAX_VERTICES
+    with pytest.raises(AssertionError, match="_dissection_order called"):
+        count_fkt(large)
+
+
 # Clusters side by side with 1 to 10^9 empty columns between them, shifted apart in y,
 # then turned by a lattice symmetry so the gaps may be rows: the sweep skips empty lines.
 far_clusters = st.lists(
@@ -506,8 +550,6 @@ def test_count_front_door_crosschecks():
 
 
 def test_count_disagreement_raises(monkeypatch):
-    from aztec_tilings import engines as eng
-
     g = FOUR_CYCLE
     monkeypatch.setattr(eng, "count_brute", lambda _: 99)
     with pytest.raises(CountMismatchError):
@@ -515,8 +557,6 @@ def test_count_disagreement_raises(monkeypatch):
 
 
 def test_crosscheck_past_brute_limit_uses_fkt(monkeypatch):
-    from aztec_tilings import engines as eng
-
     # 40 vertices: brute could count it, but it is past AUTO_CROSSCHECK_BELOW (24)
     g = dual_graph(build_aztec_diamond(4))
     monkeypatch.setattr(eng, "count_fkt", lambda _: 99)
@@ -525,8 +565,6 @@ def test_crosscheck_past_brute_limit_uses_fkt(monkeypatch):
 
 
 def test_auto_crosscheck_past_brute_limit_uses_profile_dp(monkeypatch):
-    from aztec_tilings import engines as eng
-
     # auto counts it by fkt; at 40 vertices it is past AUTO_CROSSCHECK_BELOW (24) for brute
     g = dual_graph(build_aztec_diamond(4))
     monkeypatch.setattr(eng, "count_profile_dp", lambda _: 99)
@@ -535,8 +573,6 @@ def test_auto_crosscheck_past_brute_limit_uses_profile_dp(monkeypatch):
 
 
 def test_crosscheck_that_cannot_run_names_both_engines(monkeypatch):
-    from aztec_tilings import engines as eng
-
     g = dual_graph(build_aztec_diamond(8))  # its sweep peaks at 8502 live states
     monkeypatch.setattr(eng, "PROFILE_STATE_LIMIT", 1000)
     assert eng.count(g) == aztec_diamond_value(8)
@@ -553,22 +589,16 @@ def _refuse(name):
 
 
 def test_auto_counts_unit_square_graphs_by_fkt(monkeypatch):
-    from aztec_tilings import engines as eng
-
     monkeypatch.setattr(eng, "count_profile_dp", _refuse("count_profile_dp"))
     assert eng.count(dual_graph(build_aztec_diamond(16))) == aztec_diamond_value(16)
 
 
 def test_auto_counts_graphs_with_a_larger_face_by_fkt(monkeypatch):
-    from aztec_tilings import engines as eng
-
     monkeypatch.setattr(eng, "count_profile_dp", _refuse("count_profile_dp"))
     assert eng.count(TWO_HOLES) == 500
 
 
 def test_auto_makes_no_face_check(monkeypatch):
-    from aztec_tilings import engines as eng
-
     monkeypatch.setattr(eng, "fkt_supported", _refuse("fkt_supported"))
     g = dual_graph(build_quartered(12, KLEIN_NONABUT))
     assert eng.count(g) == theorem1_value(KLEIN_NONABUT, 12)

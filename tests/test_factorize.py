@@ -191,6 +191,14 @@ def test_axis_rejected_on_a_graph_with_none_of_its_slope(slope):
         apply_factorization(EmbeddedGraph.from_points([(0, 0), (1, 0)]), foreign)
 
 
+@pytest.mark.parametrize("slope", [1, -1])
+def test_empty_graph_has_no_axis_to_cut_along(slope):
+    empty = EmbeddedGraph.from_points([])
+    assert find_diagonal_axis(empty) is None
+    with pytest.raises(FactorizationError, match="not a valid symmetry axis"):
+        apply_factorization(empty, DiagonalAxis(slope=slope, offset=0, on_axis=()))
+
+
 def placed(g, k, dx, dy):
     """g moved by LATTICE_SYMMETRIES[k], then translated by (dx, dy)."""
     def place(p):
