@@ -1,6 +1,7 @@
 """Command-line front end: generate, count, verify, render.
 
 Exit codes: 0 success, 1 check failure, 2 invalid input, 141 (128 + SIGPIPE) stdout closed early.
+Every refusal of input is a ValueError, which main reports on stderr with exit code 2.
 """
 
 from __future__ import annotations
@@ -59,8 +60,7 @@ def _build_family(args) -> Region | EmbeddedGraph:
 
 def _need(condition: bool, message: str) -> None:
     if not condition:
-        print(message, file=sys.stderr)
-        raise SystemExit(2)
+        raise ValueError(message)
 
 
 def _refuse(args, options, reader: str) -> None:
@@ -79,8 +79,7 @@ def _load_input(path: str) -> Region | EmbeddedGraph:
             return Region.from_json_dict(data)
         return EmbeddedGraph.from_json_dict(data)
     except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
-        print(f"cannot read region/graph JSON from {path}: {exc}", file=sys.stderr)
-        raise SystemExit(2)
+        raise ValueError(f"cannot read region/graph JSON from {path}: {exc}") from exc
 
 
 def _obtain(args) -> Region | EmbeddedGraph:

@@ -55,10 +55,6 @@ class EmbeddedGraph:
         if not all(map(lt, es, es[1:])):
             raise ValueError("edges must be sorted and distinct")
         points = set(vs)
-        if (points.issuperset(map(itemgetter(0), es)) and points.issuperset(map(itemgetter(1), es))
-                and {(q[0] - p[0], q[1] - p[1]) for p, q in es} <= _UNIT_STEPS):
-            return
-        # Some edge is bad: find the first one to name it.
         for p, q in es:
             if p not in points or q not in points:
                 raise ValueError(f"edge endpoint {p}-{q} is not a vertex")
@@ -139,6 +135,8 @@ class EmbeddedGraph:
 
 def json_int_pairs(items: list, what: str) -> list[tuple[int, int]]:
     """Distinct JSON [a, b] lists of ints as tuples; ValueError otherwise, bools included."""
+    if type(items) is not list:
+        raise ValueError(f"{what} list must be a JSON list, not {type(items).__name__}")
     if not all(type(p) is list and len(p) == 2 and all(type(c) is int for c in p) for p in items):
         raise ValueError(f"each {what} must be a list of two integers")
     pairs = [tuple(p) for p in items]

@@ -176,6 +176,26 @@ def test_bad_graph_input_exits_2(payload, extra):
 
 
 @pytest.mark.parametrize(
+    "document,field",
+    [
+        ('{"cells": ""}', "cell list"),
+        ('{"cells": {}}', "cell list"),
+        ('{"vertices": "", "edges": {}}', "vertex list"),
+        ('{"vertices": [[0, 0], [0, 1]], "edges": {}}', "edge list"),
+    ],
+    ids=["cells_string", "cells_object", "vertices_string", "edges_object"],
+)
+def test_a_container_that_is_not_a_list_exits_2_naming_its_field(document, field):
+    # each was once read as an empty list, and counted 1 (or 0 for the edgeless pair)
+    proc = run_cli("count", "--input", "-", stdin=document)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("cannot read region/graph JSON from -:")
+    assert field in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
     "args",
     [
         ("count", "--family", "ad"),
@@ -302,6 +322,34 @@ def test_render_ascii_and_svg():
     rendered = run_cli("render", "--input", "-", "--format", "svg", stdin=piped.stdout)
     assert rendered.returncode == 0
     assert rendered.stdout.startswith("<svg")
+
+
+# SHA-256 of `render` output, pinned so that every picture stays byte for byte the same.
+RENDER_DIGESTS = [
+    (("--family", "r", "--n", "8", "--format", "svg"),
+     "61f33b4c423f5bbf2107261a4e0c827ede5b820a8d90fe12dc60f546eefe539f"),
+    (("--family", "ar", "--m", "3", "--n", "5", "--format", "svg"),
+     "4411d317451e414bfd6c8466745d51f8e43277136dfbf9e329022711b7630891"),
+    (("--family", "ad", "--n", "3", "--format", "ascii"),
+     "b36185d29eab6e873714f46634cdcee370836bcb854085a095a51de6fc4ee95f"),
+    (("--family", "ar", "--m", "2", "--n", "3", "--format", "ascii"),
+     "74c9e1a7f7887c9a3eae0cf90cbf68a2548b4884cc3ff3898c550e02a493516c"),
+]
+
+
+@pytest.mark.parametrize("args,digest", RENDER_DIGESTS,
+                         ids=[f"{a[1]}-{a[-1]}" for a, _ in RENDER_DIGESTS])
+def test_render_output_bytes_are_pinned(args, digest):
+    proc = run_cli("render", *args)
+    assert proc.returncode == 0
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("document", ('{"cells": []}', '{"vertices": [], "edges": []}'))
+def test_render_svg_of_nothing_is_an_empty_picture(document):
+    proc = run_cli("render", "--input", "-", "--format", "svg", stdin=document)
+    assert proc.returncode == 0
+    assert proc.stdout == '<svg xmlns="http://www.w3.org/2000/svg" width="0" height="0"/>\n'
 
 
 def test_render_ascii_of_a_far_domino_exits_2_before_drawing():

@@ -20,7 +20,7 @@ from aztec_tilings.engines import (
 )
 from aztec_tilings.errors import CountMismatchError, TooLargeError
 from aztec_tilings.formulas import aztec_diamond_value, theorem1_value
-from aztec_tilings.grids import LATTICE_SYMMETRIES, EmbeddedGraph, dual_graph
+from aztec_tilings.grids import EmbeddedGraph, dual_graph
 from aztec_tilings.regions import (
     KLEIN_ABUT,
     KLEIN_NONABUT,
@@ -29,6 +29,8 @@ from aztec_tilings.regions import (
     build_holey_ar,
     build_quartered,
 )
+
+from lattice import moved
 
 cells_6x6 = st.frozensets(
     st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=36
@@ -343,18 +345,15 @@ deleted_points = st.frozensets(st.tuples(st.integers(0, 4), st.integers(0, 4)), 
        st.integers(-9, 0))
 def test_fkt_matches_profile_dp_on_placed_unit_square_graphs(missing, steps, deleted, k, dx, dy):
     # Every placement moves columns to negative and odd x, which the sign rule must survive.
-    def place(x, y):
-        u, v = LATTICE_SYMMETRIES[k](x, y)
-        return (u + dx, v + dy)
-
+    place = moved(k, dx, dy)
     pairs = set()
     for i, j in itertools.product(range(4), repeat=2):
         if (i, j) not in missing:
-            corners = [place(i, j), place(i + 1, j), place(i + 1, j + 1), place(i, j + 1)]
+            corners = list(map(place, [(i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1)]))
             pairs |= set(zip(corners, corners[1:] + corners[:1]))
     for i, j, horizontal in steps:
-        pairs.add((place(i, j), place(i + 1, j) if horizontal else place(i, j + 1)))
-    gone = {place(i, j) for i, j in deleted}
+        pairs.add((place((i, j)), place((i + 1, j)) if horizontal else place((i, j + 1))))
+    gone = set(map(place, deleted))
     pairs = {pq for pq in pairs if not gone & set(pq)}
     g = EmbeddedGraph.from_points({p for pq in pairs for p in pq}, pairs)
     counted = count_fkt(g)
@@ -378,10 +377,7 @@ def test_fkt_matches_profile_dp_on_dissected_grids(w, h, holes, deleted, k, dx, 
     evens = [p for p in points if sum(p) % 2 == 0]
     odds = [p for p in points if sum(p) % 2 == 1]
     surplus = set(evens[len(odds):] if len(evens) > len(odds) else odds[len(evens):])
-    sym = LATTICE_SYMMETRIES[k]
-    g = EmbeddedGraph.from_points(
-        (u + dx, v + dy) for u, v in (sym(*p) for p in points if p not in surplus)
-    )
+    g = EmbeddedGraph.from_points(map(moved(k, dx, dy), set(points) - surplus))
     assert len(g.vertices) > 100
     assert count_fkt(g) == count_profile_dp(g)
 
@@ -495,28 +491,26 @@ TWO_FAR_DOMINOES = [({(0, 0), (1, 0)}, 0, 10**9, 0)] * 2
 def test_profile_dp_matches_fkt_on_sparse_point_sets(clusters, k):
     points = set()
     for cells, j, gap, dy in clusters:
-        moved = [LATTICE_SYMMETRIES[j](*p) for p in cells]
+        turned = list(map(moved(j), cells))
         start = max((x for x, _ in points), default=0) + gap + 1
-        dx = start - min((u for u, _ in moved), default=0)
-        points |= {(u + dx, v + dy) for u, v in moved}
-    g = EmbeddedGraph.from_points(LATTICE_SYMMETRIES[k](*p) for p in points)
+        dx = start - min((u for u, _ in turned), default=0)
+        points |= {(u + dx, v + dy) for u, v in turned}
+    g = EmbeddedGraph.from_points(map(moved(k), points))
     assert count_profile_dp(g) == count_fkt(g)
 
 
 @settings(max_examples=150, deadline=None)
 @given(holey_rectangles(6, 6), st.integers(0, 7), st.integers(-9, 9), st.integers(-9, 9))
 def test_count_is_unchanged_by_a_lattice_symmetry_and_translation(cells, k, dx, dy):
-    sym = LATTICE_SYMMETRIES[k]
-    moved = EmbeddedGraph.from_points((u + dx, v + dy) for u, v in (sym(*p) for p in cells))
-    assert count(moved) == count(EmbeddedGraph.from_points(cells))
+    image = EmbeddedGraph.from_points(map(moved(k, dx, dy), cells))
+    assert count(image) == count(EmbeddedGraph.from_points(cells))
 
 
 @settings(max_examples=150, deadline=None)
 @given(holey_rectangles(4, 5), holey_rectangles(4, 5), st.integers(0, 7), st.integers(-9, 9))
 def test_count_of_a_disjoint_union_is_the_product_of_the_parts(a, b, k, dy):
     # b is moved by a symmetry into x >= 6, so no unit step joins it to a (x <= 3)
-    sym = LATTICE_SYMMETRIES[k]
-    b = {(u + 10, v + dy) for u, v in (sym(*p) for p in b)}
+    b = set(map(moved(k, 10, dy), b))
     parts = count_brute(EmbeddedGraph.from_points(a)) * count_brute(EmbeddedGraph.from_points(b))
     union = EmbeddedGraph.from_points(a | b)
     assert count(union) == parts

@@ -29,6 +29,8 @@ from aztec_tilings.regions import (
     set_B,
 )
 
+from lattice import moved, placed
+
 FOUR_CYCLE = EmbeddedGraph.from_points([(0, 0), (1, 0), (0, 1), (1, 1)])
 
 # Which quartered duals the two halves of each holey rectangle must match.
@@ -127,17 +129,7 @@ def test_halves_match_quartered_duals(name, builder, plus_kind, minus_kind, orde
 @pytest.mark.parametrize("name,builder,plus_kind,minus_kind,order", SPLIT_TABLE)
 def test_halves_are_the_two_sides_of_the_axis(name, builder, plus_kind, minus_kind, order, n, k):
     # placed by a lattice symmetry, then shifted by (k, -3) so the offset's parity varies too
-    sym = LATTICE_SYMMETRIES[k]
-
-    def place(p):
-        x, y = sym(*p)
-        return (x + k, y - 3)
-
-    base = builder(n)
-    g = EmbeddedGraph.from_points(
-        [place(p) for p in base.vertices],
-        [(place(p), place(q)) for p, q in base.point_pairs()],
-    )
+    g = placed(builder(n), k, k, -3)
     axis = find_diagonal_axis(g)
     assert axis is not None and axis.w == n
     result = apply_factorization(g, axis)
@@ -199,16 +191,6 @@ def test_empty_graph_has_no_axis_to_cut_along(slope):
         apply_factorization(empty, DiagonalAxis(slope=slope, offset=0, on_axis=()))
 
 
-def placed(g, k, dx, dy):
-    """g moved by LATTICE_SYMMETRIES[k], then translated by (dx, dy)."""
-    def place(p):
-        x, y = LATTICE_SYMMETRIES[k](*p)
-        return (x + dx, y + dy)
-
-    return EmbeddedGraph.from_points([place(p) for p in g.vertices],
-                                     [(place(p), place(q)) for p, q in g.edges]), place
-
-
 @pytest.mark.parametrize("name,builder,plus_kind,minus_kind,order", SPLIT_TABLE)
 def test_halves_built_unvalidated_pass_the_validator(name, builder, plus_kind, minus_kind, order):
     for n in range(1, 9):
@@ -225,7 +207,7 @@ def test_halves_built_unvalidated_pass_the_validator(name, builder, plus_kind, m
 def test_halves_of_drawn_symmetric_regions_pass_the_validator(cells, k, dx, dy):
     # mirrored in y = x, with the whole diagonal, so the on-axis points are consecutive
     cells = cells | {(y, x) for x, y in cells} | {(i, i) for i in range(6)}
-    g, _ = placed(EmbeddedGraph.from_points(cells), k, dx, dy)
+    g = placed(EmbeddedGraph.from_points(cells), k, dx, dy)
     axis = find_diagonal_axis(g)
     assert axis is not None
     result = apply_factorization(g, axis)
@@ -250,18 +232,18 @@ def test_axis_of_every_placement_of_the_eq16_rectangle(k, n):
     base = build_holey_ar(2 * n, 4 * n, set_A(n))
     base_axis = find_diagonal_axis(base)
     assert base_axis.slope == 1
-    g, place = placed(base, k, k, -3)
+    g = placed(base, k, k, -3)
     # the axis direction (1, 1) is carried onto (a, b): slope +1 iff a and b share a sign
     a, b = LATTICE_SYMMETRIES[k](1, 1)
     axis = find_diagonal_axis(g)
     assert axis is not None and axis.slope == (1 if a * b > 0 else -1) and axis.w == n
-    assert set(axis.on_axis) == {place(p) for p in base_axis.on_axis}
+    assert set(axis.on_axis) == set(map(moved(k, k, -3), base_axis.on_axis))
 
 
 def test_axis_from_another_graph_is_rejected():
     g = build_holey_ar(4, 8, set_A(2))
-    shifted, _ = placed(g, 0, 1, 0)
-    mirrored, _ = placed(g, 4, 0, 0)
+    shifted = placed(g, 0, 1, 0)
+    mirrored = placed(g, 4, 0, 0)
     for other in (shifted, mirrored, build_holey_ar(6, 12, set_A(3)), build_holey_ar(2, 4, set_A(1))):
         foreign = find_diagonal_axis(other)
         assert foreign is not None and foreign != find_diagonal_axis(g)

@@ -179,6 +179,12 @@ def test_theorem1_rejects_bad_order():
         theorem1_value("octant", 4)
 
 
+@pytest.mark.parametrize("n", (0, -1))
+def test_diamond_value_rejects_bad_order(n):
+    with pytest.raises(InvalidOrderError, match=f"order must be >= 1, got {n}"):
+        aztec_diamond_value(n)
+
+
 def test_diamond_values():
     assert aztec_diamond_value(1) == 2
     assert aztec_diamond_value(2) == 8

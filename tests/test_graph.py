@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from aztec_tilings.engines import count_brute
 from aztec_tilings.grids import (
     EmbeddedGraph,
-    LATTICE_SYMMETRIES,
     dual_graph,
     induced_subgraph,
     isomorphic_embedded,
@@ -22,6 +21,8 @@ from aztec_tilings.regions import (
     build_aztec_diamond,
     build_quartered,
 )
+
+from lattice import moved, placed
 
 cells_5x5 = st.frozensets(
     st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=25
@@ -243,22 +244,12 @@ def test_not_isomorphic_different_quarters():
 @given(cells_5x5, st.integers(0, 7), st.integers(-9, 9), st.integers(-9, 9))
 def test_normalize_constant_on_symmetry_orbit(cells, k, dx, dy):
     g = EmbeddedGraph.from_points(cells)
-    sym = LATTICE_SYMMETRIES[k]
-    h = EmbeddedGraph.from_points([sym(x + dx, y + dy) for x, y in cells])
+    h = EmbeddedGraph.from_points(map(moved(k, dx, dy), cells))
     assert normalize(h) == normalize(g)
     assert normalize(normalize(g)) == normalize(g)
 
 
 BOARD_5x5 = frozenset((x, y) for x in range(5) for y in range(5))
-
-
-def placed(g, k, dx, dy):
-    """g moved by LATTICE_SYMMETRIES[k], then translated by (dx, dy)."""
-    move = {}
-    for p in g.vertices:
-        u, v = LATTICE_SYMMETRIES[k](*p)
-        move[p] = (u + dx, v + dy)
-    return EmbeddedGraph.from_points(move.values(), [(move[p], move[q]) for p, q in g.point_pairs()])
 
 
 @st.composite
@@ -316,7 +307,7 @@ def test_chiral_shape_is_isomorphic_to_its_mirror_image():
     cells = [(0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (2, 3)]
     mirror = EmbeddedGraph.from_points((-x, y) for x, y in cells)
     for k in range(4):
-        assert at_origin([LATTICE_SYMMETRIES[k](*p) for p in cells]) != at_origin(mirror.vertices)
+        assert at_origin(list(map(moved(k), cells))) != at_origin(mirror.vertices)
     assert isomorphic_embedded(EmbeddedGraph.from_points(cells), mirror)
 
 
@@ -373,8 +364,16 @@ def test_quarters_built_unvalidated_pass_the_validator(kind):
          "vertices must be sorted and distinct"),
         (lambda: EmbeddedGraph(vertices=SQUARE_POINTS, edges=(((0, 0), (0, 2)),)),
          "edge endpoint (0, 0)-(0, 2) is not a vertex"),
+        # of several bad edges, the first in edge order is the one named
+        (lambda: EmbeddedGraph(vertices=SQUARE_POINTS,
+                               edges=(((0, 0), (1, 1)), ((0, 1), (0, 2)))),
+         "edge (0, 0)-(1, 1) is not a unit step from its smaller point"),
+        (lambda: EmbeddedGraph(vertices=SQUARE_POINTS,
+                               edges=(((0, 0), (0, 2)), ((0, 1), (1, 0)))),
+         "edge endpoint (0, 0)-(0, 2) is not a vertex"),
     ],
-    ids=["float_point", "float_cell", "pair_endpoint", "pair_not_a_step", "unsorted", "bad_edge"],
+    ids=["float_point", "float_cell", "pair_endpoint", "pair_not_a_step", "unsorted", "bad_edge",
+         "first_of_two_not_a_step", "first_of_two_not_a_vertex"],
 )
 def test_outside_input_is_still_validated_with_the_same_message(build, message):
     with pytest.raises(ValueError) as raised:
