@@ -75,10 +75,10 @@ def _load_input(path: str) -> Region | EmbeddedGraph:
         else:
             with open(path, encoding="utf-8") as fh:
                 data = json.load(fh)
-        if "cells" in data:
+        if type(data) is dict and "cells" in data:
             return Region.from_json_dict(data)
         return EmbeddedGraph.from_json_dict(data)
-    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ValueError(f"cannot read region/graph JSON from {path}: {exc}") from exc
 
 
@@ -174,6 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    sys.set_int_max_str_digits(0)  # an exact count may run past Python's 4300-digit default
     try:
         status = args.func(args)
         sys.stdout.flush()  # so that a closed pipe raises here, not at interpreter exit

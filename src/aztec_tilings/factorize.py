@@ -1,10 +1,11 @@
 """Splitting a diagonally symmetric grid graph into two independent halves.
 
-For a graph that maps onto itself under reflection across a diagonal
-lattice line, deleting edges at the on-axis vertices in alternation
-(below-side edges at the 1st, 3rd, ... vertex, above-side edges at the
-rest) splits it into an upper part and a lower part whose matching
-counts multiply:  M(G) = 2^w * M(G+) * M(G-), with 2w on-axis vertices.
+Any reflection across a diagonal lattice line that maps the graph onto itself
+is an axis; its on-axis vertices may skip steps along the line.  Deleting edges
+at those vertices in alternation, in x order (below-side edges at the 1st, 3rd,
+... vertex, above-side edges at the rest), splits the graph into an upper and a
+lower part whose matching counts multiply (Ciucu's factorization theorem):
+M(G) = 2^w * M(G+) * M(G-), with 2w on-axis vertices (2w + 1 makes both sides 0).
 """
 
 from __future__ import annotations
@@ -50,23 +51,16 @@ def _axis_if_valid(g: EmbeddedGraph, slope: int) -> DiagonalAxis | None:
     c = min(ys) - xs[0] if slope == SLOPE_UP else min(ys) + xs[-1]
     diagonal = map(sub, ys, xs) if slope == SLOPE_UP else map(add, xs, ys)
     on_axis = tuple(compress(g.vertices, map(c.__eq__, diagonal)))
-    for a, b in zip(on_axis, on_axis[1:]):
-        if b[0] != a[0] + 1:
-            return None
     return DiagonalAxis(slope=slope, offset=c, on_axis=on_axis)
 
 
 def find_diagonal_axis(g: EmbeddedGraph) -> DiagonalAxis | None:
-    """A valid diagonal symmetry axis, slope +1 preferred, or None.
+    """A diagonal symmetry axis, slope +1 preferred, or None.
 
     Each slope has at most one candidate: the reflection maps the leftmost
     column onto the lowest row, so its offset is fixed by the vertices.
     """
-    for slope in (SLOPE_UP, SLOPE_DOWN):
-        axis = _axis_if_valid(g, slope)
-        if axis is not None:
-            return axis
-    return None
+    return _axis_if_valid(g, SLOPE_UP) or _axis_if_valid(g, SLOPE_DOWN)
 
 
 def apply_factorization(g: EmbeddedGraph, axis: DiagonalAxis) -> FactorizationResult:

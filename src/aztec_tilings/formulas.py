@@ -1,15 +1,16 @@
 """Exact closed-form values for quartered-diamond and holey-rectangle counts.
 
-Every closed form is an integer product of its numerator factors, one of its
-denominator factors and one exact division; a remainder is a bug, not a
-rounding issue. `delta` and the lemma6 sides are multiplicity maps (value ->
-exponent), so shared factors cancel before any product. Only the lemma6
-ratios, which are not integers, are returned as `Fraction`s.
+Every closed form is one factor map, a `Counter` from value to exponent whose
+negative exponents divide, so shared factors cancel before any product. A count
+is its map's value times a power of 2 and must be an integer; a remainder is a
+bug, not a rounding issue. Only the lemma6 ratios, which are not integers, are
+returned as `Fraction`s.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterator
 from fractions import Fraction
 from itertools import combinations, starmap
 from operator import sub
@@ -29,26 +30,22 @@ def _product(factors: list[int]) -> int:
     return factors[0] if factors else 1
 
 
-def _as_int(num: int, den: int, k: int = 0) -> int:
-    """2^k * num / den, which must be an integer."""
-    q, r = divmod(num << k, den)
-    if r:
-        raise CountMismatchError(f"expected an integer, got 2^{k} * {num} / {den}")
-    return q
+def _as_int(value: Fraction) -> int:
+    """value, which must be an integer."""
+    if value.denominator != 1:
+        # hex, as str of an int fails past 4300 digits
+        raise CountMismatchError(f"expected an integer, got {value.numerator:#x}/{value.denominator:#x}")
+    return value.numerator
 
 
-def _differences(a) -> list[int]:
-    return [a[j] - a[i] for i in range(len(a)) for j in range(i + 1, len(a))]
+def _differences(s) -> Iterator[int]:
+    """Pairwise differences, later minus earlier, of s, one at a time."""
+    return starmap(sub, combinations(s[::-1], 2))
 
 
-def _difference_counts(s) -> Counter:
-    """Multiplicity of each pairwise difference, later minus earlier, of s."""
-    return Counter(starmap(sub, combinations(s[::-1], 2)))
-
-
-def _ratio(exponents: Counter) -> Fraction:
-    """Product of v^e over a multiplicity map; negative exponents divide."""
-    return Fraction(_product([v ** e for v, e in exponents.items() if e > 0]),
+def _value(exponents: Counter, k: int = 0) -> Fraction:
+    """2^k times the product of v^e over a factor map; negative exponents divide."""
+    return Fraction(_product([v ** e for v, e in exponents.items() if e > 0]) << k,
                     _product([v ** -e for v, e in exponents.items() if e < 0]))
 
 
@@ -76,10 +73,10 @@ def theorem1_value(kind: str, order: int) -> int:
         return 0
     c, shift, strict = _THEOREM1[kind, parity]
     n = (order + c) // 4
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1 if strict else i, n + 1)]
-    return _as_int(_product([2 * i + 2 * j + shift for i, j in pairs]),
-                   _product([i + j - 1 for i, j in pairs]),
-                   n * (3 * n - 1 - 2 * parity) // 2)
+    sums = Counter(i + j for i in range(1, n + 1) for j in range(i + 1 if strict else i, n + 1))
+    factors = Counter({2 * t + shift: e for t, e in sums.items()})
+    factors.subtract({t - 1: e for t, e in sums.items()})
+    return _as_int(_value(factors, n * (3 * n - 1 - 2 * parity) // 2))
 
 
 def aztec_diamond_value(n: int) -> int:
@@ -92,28 +89,29 @@ def aztec_diamond_value(n: int) -> int:
 def lemma4_value(m: int, n: int, a: tuple[int, ...]) -> int:
     """Matching count of the rectangle graph keeping bottom positions a."""
     check_index_set(a, m, n)
-    return _as_int(_product(_differences(a)), _product(_differences(range(1, m + 1))),
-                   m * (m + 1) // 2)
+    factors = Counter(_differences(a))
+    factors.subtract(Counter(_differences(range(1, m + 1))))
+    return _as_int(_value(factors, m * (m + 1) // 2))
 
 
 def lemma5_value(m: int, n: int, a: tuple[int, ...]) -> int:
     """Matching count of the bottomless rectangle graph with holes at a: lemma4's
     count at width n + 1 over 2^m, as the forms differ only in 2^(m(m+1)/2) vs 2^(m(m-1)/2)."""
-    return _as_int(lemma4_value(m, n + 1, a), 1 << m)
+    return _as_int(Fraction(lemma4_value(m, n + 1, a), 1 << m))
 
 
 def delta(s: tuple[int, ...]) -> int:
     """Product of pairwise differences (later minus earlier) of an index set."""
     if not s:
         raise InvalidHolesError("index set must be non-empty")
-    return _ratio(_difference_counts(s)).numerator
+    return _product(list(_differences(s)))
 
 
 def lemma6_lhs(n: int) -> Fraction:
     """Ratio of pairwise-difference products of the two standard index sets."""
-    exponents = _difference_counts(set_A(n))
-    exponents.subtract(_difference_counts(set_B(n)))
-    return _ratio(exponents)
+    exponents = Counter(_differences(set_A(n)))
+    exponents.subtract(Counter(_differences(set_B(n))))
+    return _value(exponents)
 
 
 def lemma6_rhs(n: int) -> Fraction:
@@ -122,4 +120,4 @@ def lemma6_rhs(n: int) -> Fraction:
     weights = {k: n - abs(k) for k in range(1 - n, n)}  # number of pairs (i, j) with j - i = k
     exponents = Counter({2 * n + 1 + 2 * k: w for k, w in weights.items()})
     exponents.subtract({2 * n - 1 + 2 * k: w for k, w in weights.items()})
-    return _ratio(exponents)
+    return _value(exponents)

@@ -126,15 +126,19 @@ class EmbeddedGraph:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "EmbeddedGraph":
-        vs = json_int_pairs(data["vertices"], "vertex")
-        edges = json_int_pairs(data["edges"], "edge")
+        vs = json_int_pairs(data, "vertices", "vertex")
+        edges = json_int_pairs(data, "edges", "edge")
         if not all(0 <= i < len(vs) for e in edges for i in e):
             raise ValueError(f"an edge indexes outside 0..{len(vs) - 1}")
         return cls.from_points(vs, [(vs[u], vs[v]) for u, v in edges])
 
 
-def json_int_pairs(items: list, what: str) -> list[tuple[int, int]]:
-    """Distinct JSON [a, b] lists of ints as tuples; ValueError otherwise, bools included."""
+def json_int_pairs(data: dict, key: str, what: str) -> list[tuple[int, int]]:
+    """data[key]'s distinct JSON [a, b] lists of ints as tuples; ValueError otherwise, bools
+    included, and when data is not a JSON object holding key."""
+    if type(data) is not dict or key not in data:
+        raise ValueError(f"a region or graph must be a JSON object with the field {key!r}")
+    items = data[key]
     if type(items) is not list:
         raise ValueError(f"{what} list must be a JSON list, not {type(items).__name__}")
     if not all(type(p) is list and len(p) == 2 and all(type(c) is int for c in p) for p in items):

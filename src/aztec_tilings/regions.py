@@ -52,7 +52,7 @@ class Region:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Region":
-        cells = json_int_pairs(data["cells"], "cell")
+        cells = json_int_pairs(data, "cells", "cell")
         return cls(cells=frozenset(cells), name=str(data.get("name", "")))
 
 

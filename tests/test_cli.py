@@ -1,3 +1,4 @@
+import decimal
 import hashlib
 import json
 import os
@@ -182,17 +183,35 @@ def test_bad_graph_input_exits_2(payload, extra):
         ('{"cells": {}}', "cell list"),
         ('{"vertices": "", "edges": {}}', "vertex list"),
         ('{"vertices": [[0, 0], [0, 1]], "edges": {}}', "edge list"),
+        ('{"vertices": [[0, 0]]}', "JSON object with the field 'edges'"),
+        ('{"edges": []}', "JSON object with the field 'vertices'"),
+        ("[1, 2]", "JSON object with the field 'vertices'"),
+        ('"x"', "JSON object with the field 'vertices'"),
+        ("null", "JSON object with the field 'vertices'"),
+        ("5", "JSON object with the field 'vertices'"),
     ],
-    ids=["cells_string", "cells_object", "vertices_string", "edges_object"],
+    ids=["cells_string", "cells_object", "vertices_string", "edges_object",
+         "no_edges", "no_vertices", "list", "string", "null", "number"],
 )
 def test_a_container_that_is_not_a_list_exits_2_naming_its_field(document, field):
-    # each was once read as an empty list, and counted 1 (or 0 for the edgeless pair)
+    # the first four were once read as an empty list, and counted 1 (or 0 for the
+    # edgeless pair); the rest once printed a bare KeyError or TypeError text
     proc = run_cli("count", "--input", "-", stdin=document)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith("cannot read region/graph JSON from -:")
     assert field in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_a_count_past_4300_digits_prints_exactly():
+    # 15,000 disjoint 4-cycles: 2^15000 matchings, a 4,516-digit count
+    vertices = [[3 * i + dx, dy] for i in range(15000) for dx, dy in ((0, 0), (0, 1), (1, 0), (1, 1))]
+    edges = [[4 * i + a, 4 * i + b] for i in range(15000) for a, b in ((0, 1), (0, 2), (1, 3), (2, 3))]
+    proc = run_cli("count", "--input", "-", stdin=json.dumps({"vertices": vertices, "edges": edges}))
+    assert proc.returncode == 0, proc.stderr
+    # decimal's str has no digit limit, unlike str of an int
+    assert proc.stdout == f"{decimal.Context(prec=5000).power(2, 15000)}\n"
 
 
 @pytest.mark.parametrize(

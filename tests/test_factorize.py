@@ -202,11 +202,11 @@ def test_halves_built_unvalidated_pass_the_validator(name, builder, plus_kind, m
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.frozensets(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=20),
+@given(st.frozensets(st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=1, max_size=20),
        st.integers(0, 7), st.integers(-9, 9), st.integers(-9, 9))
 def test_halves_of_drawn_symmetric_regions_pass_the_validator(cells, k, dx, dy):
-    # mirrored in y = x, with the whole diagonal, so the on-axis points are consecutive
-    cells = cells | {(y, x) for x, y in cells} | {(i, i) for i in range(6)}
+    # mirrored in y = x; the on-axis points may skip steps along the diagonal
+    cells = cells | {(y, x) for x, y in cells}
     g = placed(EmbeddedGraph.from_points(cells), k, dx, dy)
     axis = find_diagonal_axis(g)
     assert axis is not None
@@ -214,6 +214,25 @@ def test_halves_of_drawn_symmetric_regions_pass_the_validator(cells, k, dx, dy):
     for half in (result.g_plus, result.g_minus):
         assert EmbeddedGraph(vertices=half.vertices, edges=half.edges) == half
     assert len(result.g_plus) + len(result.g_minus) == len(g)
+    assert count(g) == (1 << result.w) * count(result.g_plus) * count(result.g_minus)
+
+
+@pytest.mark.parametrize(
+    "side,hole,on_axis,counts",
+    [
+        (3, {1}, ((0, 0), (2, 2)), (2, 1, 1)),
+        (6, {2, 3}, ((0, 0), (1, 1), (4, 4), (5, 5)), (1444, 19, 19)),
+    ],
+)
+def test_an_axis_with_a_gap_factors(side, hole, on_axis, counts):
+    # a square less its central block: the diagonal y = x skips the block
+    g = EmbeddedGraph.from_points(
+        [(x, y) for x in range(side) for y in range(side) if not {x, y} <= hole])
+    axis = find_diagonal_axis(g)
+    assert axis == DiagonalAxis(1, 0, on_axis)
+    result = apply_factorization(g, axis)
+    assert (count(g), count(result.g_plus), count(result.g_minus)) == counts
+    assert counts[0] == (1 << result.w) * counts[1] * counts[2]
 
 
 def test_no_axis_when_only_the_counts_are_symmetric():

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import math
 from fractions import Fraction
 
@@ -152,11 +153,25 @@ def test_product_equals_math_prod(factors):
 
 
 def test_non_integral_ratio_is_a_mismatch():
-    assert _as_int(9, 12, 2) == 3
+    assert _as_int(Fraction(9 << 2, 12)) == 3
     with pytest.raises(CountMismatchError):
-        _as_int(1, 3)
+        _as_int(Fraction(1, 3))
     with pytest.raises(CountMismatchError):
-        _as_int(3, 8, 2)
+        _as_int(Fraction(3 << 2, 8))
+    with pytest.raises(CountMismatchError, match="0x"):
+        _as_int(Fraction(10 ** 5000 + 1, 2))  # past str's 4300-digit limit for ints
+
+
+def test_every_closed_form_is_pinned():
+    # hex, not str: str of an int fails past 4300 digits
+    lines = [hex(theorem1_value(kind, o)) for kind in QUARTER_KINDS for o in range(1, 301)]
+    lines += [hex(aztec_diamond_value(n)) for n in range(1, 301)]
+    lines += [hex(lemma4_value(2 * n, 4 * n, set_B(n))) for n in range(1, 76)]
+    lines += [hex(lemma5_value(2 * n, 4 * n - 1, set_A(n))) for n in range(1, 76)]
+    lines += [hex(delta(set_A(n))) for n in range(1, 76)]
+    lines += [f"{hex(r.numerator)}/{hex(r.denominator)}" for r in map(lemma6_lhs, range(1, 101))]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "41e03e08d3872f133c6210e39e63b3ce63d3f878c4be98feb605ffc2034c2bef"
 
 
 def test_lemma5_raises_on_an_odd_lemma4_value(monkeypatch):
