@@ -10,7 +10,7 @@ M(G) = 2^w * M(G+) * M(G-), with 2w on-axis vertices (2w + 1 makes both sides 0)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import compress
 from operator import add, sub
 
@@ -23,11 +23,17 @@ SLOPE_DOWN = -1
 
 @dataclass(frozen=True)
 class DiagonalAxis:
-    """A diagonal lattice symmetry line y = x + offset or y = -x + offset."""
+    """A diagonal lattice symmetry line y = x + offset or y = -x + offset.
+
+    found_on is the graph on which find_diagonal_axis proved this axis, or None
+    for an axis made any other way (by hand or by dataclasses.replace).  It is
+    not part of == or repr.
+    """
 
     slope: int
     offset: int
     on_axis: tuple[Point, ...]
+    found_on: EmbeddedGraph | None = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def w(self) -> int:
@@ -51,7 +57,9 @@ def _axis_if_valid(g: EmbeddedGraph, slope: int) -> DiagonalAxis | None:
     c = min(ys) - xs[0] if slope == SLOPE_UP else min(ys) + xs[-1]
     diagonal = map(sub, ys, xs) if slope == SLOPE_UP else map(add, xs, ys)
     on_axis = tuple(compress(g.vertices, map(c.__eq__, diagonal)))
-    return DiagonalAxis(slope=slope, offset=c, on_axis=on_axis)
+    axis = DiagonalAxis(slope=slope, offset=c, on_axis=on_axis)
+    object.__setattr__(axis, "found_on", g)
+    return axis
 
 
 def find_diagonal_axis(g: EmbeddedGraph) -> DiagonalAxis | None:
@@ -70,8 +78,13 @@ def apply_factorization(g: EmbeddedGraph, axis: DiagonalAxis) -> FactorizationRe
     the two sides and no two on-axis vertices are adjacent.  The cut
     therefore leaves G+ as g induced on the upper side plus the 1st, 3rd,
     ... on-axis vertex, and G- as g induced on the rest.
+
+    The axis is checked against g unless find_diagonal_axis found it on this
+    very graph object, which is immutable, so the check would repeat its proof.
+    An axis made by hand, by dataclasses.replace or on another graph object,
+    even an equal one, is checked in full.
     """
-    if _axis_if_valid(g, axis.slope) != axis:
+    if axis.found_on is not g and _axis_if_valid(g, axis.slope) != axis:
         raise FactorizationError("axis is not a valid symmetry axis for this graph")
     c = axis.offset
     if axis.slope == SLOPE_UP:

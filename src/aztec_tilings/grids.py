@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import add, itemgetter, lt
 from typing import Iterable, Iterator, Optional, TYPE_CHECKING
 
@@ -43,10 +43,17 @@ _UNIT_STEPS = {(1, 0), (0, 1)}
 
 @dataclass(frozen=True)
 class EmbeddedGraph:
-    """Immutable grid graph: sorted vertex points plus sorted unit-step point pairs."""
+    """Immutable grid graph: sorted vertex points plus sorted unit-step point pairs.
+
+    full True records that every two vertices at distance 1 are joined by an
+    edge, as proved by the construction that built the graph.  False means
+    "not known": the constructor, a pairs list and JSON input leave it False
+    even when no unit pair is missing.  It is not part of ==, hash or repr.
+    """
 
     vertices: tuple[Point, ...]
     edges: tuple[PointPair, ...]
+    full: bool = field(default=False, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         vs, es = self.vertices, self.edges
@@ -62,10 +69,12 @@ class EmbeddedGraph:
                 raise ValueError(f"edge {p}-{q} is not a unit step from its smaller point")
 
     @classmethod
-    def _trusted(cls, vertices: tuple[Point, ...], edges: tuple[PointPair, ...]) -> "EmbeddedGraph":
-        """Skip __post_init__'s checks: each caller says why its graph is valid as built."""
+    def _trusted(cls, vertices: tuple[Point, ...], edges: tuple[PointPair, ...],
+                 full: bool) -> "EmbeddedGraph":
+        """Skip __post_init__'s checks: each caller says why its graph is valid as built,
+        and why it joins every unit pair if it passes full=True."""
         g = object.__new__(cls)
-        g.__dict__.update(vertices=vertices, edges=edges)
+        g.__dict__.update(vertices=vertices, edges=edges, full=full)
         return g
 
     @classmethod
@@ -88,11 +97,12 @@ class EmbeddedGraph:
         vertex = {p: p for p in vs}.get
         if pairs is None:
             # Distinct int points, sorted, joined by unit steps that come out sorted:
-            # p ascends, and (x, y+1) < (x+1, y).  So the graph is valid as built.
+            # p ascends, and (x, y+1) < (x+1, y).  So the graph is valid as built, and
+            # full: each unit pair is a point and its up or right neighbour.
             return cls._trusted(vs, tuple(
                 (p, q) for p in vs
                 for q in (vertex((p[0], p[1] + 1)), vertex((p[0] + 1, p[1])))
-                if q is not None))
+                if q is not None), full=True)
         es = set()
         for a, b in pairs:
             p, q = vertex(tuple(a)), vertex(tuple(b))
@@ -202,9 +212,11 @@ def reduce_forced(g: EmbeddedGraph) -> ReductionReport:
 def induced_subgraph(g: EmbeddedGraph, keep: set[Point]) -> EmbeddedGraph:
     """The vertices of g in keep with every edge of g between two of them."""
     # Order-preserving filters of a valid graph, keeping only edges whose ends are kept.
+    # A unit pair of kept vertices is a unit pair of g, so a full g gives a full result.
     return EmbeddedGraph._trusted(
         vertices=tuple(p for p in g.vertices if p in keep),
         edges=tuple(e for e in g.edges if e[0] in keep and e[1] in keep),
+        full=g.full,
     )
 
 
@@ -245,8 +257,9 @@ def normalize(g: EmbeddedGraph) -> EmbeddedGraph:
         if best is None or key < best:
             best = key
     # A symmetry and a shift keep points distinct and unit steps unit steps, and
-    # both tuples are sorted with each edge's smaller point first.
-    return EmbeddedGraph._trusted(*best)
+    # both tuples are sorted with each edge's smaller point first.  They map the unit
+    # pairs of g one to one onto those of the result, so a full g gives a full result.
+    return EmbeddedGraph._trusted(*best, full=g.full)
 
 
 def _maps_onto(g1: EmbeddedGraph, g2: EmbeddedGraph,
@@ -269,7 +282,7 @@ def _maps_onto(g1: EmbeddedGraph, g2: EmbeddedGraph,
             yield False
             continue
         if full is None:
-            full = _joins_all_unit_pairs(g1, xs, ys)
+            full = g1.full or g2.full or _joins_all_unit_pairs(g1, xs, ys)
         if full:
             yield True
             continue
@@ -286,10 +299,14 @@ def isomorphic_embedded(g1: EmbeddedGraph, g2: EmbeddedGraph) -> bool:
     bounding boxes, so each symmetry has one shift to try.  It carries g1's
     per-column and per-row point counts onto g2's, so a symmetry whose counts
     differ is rejected before any point moves.  It is injective, so with equal
-    vertex counts, sending each vertex of g1 into g2 makes it a bijection.  If
-    g1 joins every two unit neighbours, the map then carries its edges onto
-    all such pairs of g2, which has as many edges and so no others; otherwise
-    each edge is checked.
+    vertex counts, sending each vertex of g1 into g2 makes it a bijection.
+    Its edges then need no check if either graph joins every two unit
+    neighbours.  If g1 does, the map carries its edges onto all such pairs
+    of g2, which has as many edges and so no others.  If g2 does, the map
+    carries each edge of g1, a unit pair, onto a unit pair of g2, which is
+    an edge; with as many edges on both sides, they correspond one to one.
+    A graph's full flag proves this without a count; otherwise g1's unit
+    pairs are counted once, and if some is missing each edge is checked.
     """
     if len(g1.vertices) != len(g2.vertices) or len(g1.edges) != len(g2.edges):
         return False

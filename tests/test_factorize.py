@@ -1,9 +1,11 @@
+import dataclasses
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aztec_tilings import factorize
 from aztec_tilings.engines import count
 from aztec_tilings.errors import FactorizationError
 from aztec_tilings.factorize import (
@@ -269,3 +271,62 @@ def test_axis_from_another_graph_is_rejected():
         with pytest.raises(FactorizationError, match="not a valid symmetry axis"):
             apply_factorization(g, foreign)
 
+
+
+def checks_counted(monkeypatch):
+    """A list that gains one entry each time an axis is checked against a graph."""
+    calls = []
+    check = factorize._axis_if_valid
+
+    def counted(g, slope):
+        calls.append(slope)
+        return check(g, slope)
+
+    monkeypatch.setattr(factorize, "_axis_if_valid", counted)
+    return calls
+
+
+def test_an_axis_is_not_checked_again_on_the_graph_it_was_found_on(monkeypatch):
+    g = build_holey_ar(4, 8, set_A(2))
+    axis = find_diagonal_axis(g)
+    assert axis.found_on is g
+    calls = checks_counted(monkeypatch)
+    result = apply_factorization(g, axis)
+    assert calls == [] and result.w == 2
+
+
+def test_a_replaced_axis_is_checked_again():
+    g = build_holey_ar(4, 8, set_A(2))
+    axis = find_diagonal_axis(g)
+    moved_axis = dataclasses.replace(axis, offset=axis.offset + 2)
+    assert moved_axis.found_on is None
+    with pytest.raises(FactorizationError, match="not a valid symmetry axis"):
+        apply_factorization(g, moved_axis)
+
+
+def test_an_axis_made_by_hand_is_accepted_after_its_check(monkeypatch):
+    g = build_holey_ar(4, 8, set_A(2))
+    axis = find_diagonal_axis(g)
+    by_hand = DiagonalAxis(slope=axis.slope, offset=axis.offset, on_axis=axis.on_axis)
+    calls = checks_counted(monkeypatch)
+    assert apply_factorization(g, by_hand) == apply_factorization(g, axis)
+    assert calls == [axis.slope]
+
+
+def test_an_axis_found_on_an_equal_graph_is_accepted_after_its_check(monkeypatch):
+    g = build_holey_ar(4, 8, set_A(2))
+    twin = EmbeddedGraph.from_json_dict(g.to_json_dict())
+    assert twin == g and twin is not g
+    axis = find_diagonal_axis(twin)
+    calls = checks_counted(monkeypatch)
+    assert apply_factorization(g, axis) == apply_factorization(twin, axis)
+    assert calls == [axis.slope]
+
+
+def test_found_on_is_not_part_of_equality_or_repr():
+    g = build_holey_ar(4, 8, set_A(2))
+    axis = find_diagonal_axis(g)
+    by_hand = DiagonalAxis(slope=axis.slope, offset=axis.offset, on_axis=axis.on_axis)
+    assert axis.found_on is g and by_hand.found_on is None
+    assert axis == by_hand and hash(axis) == hash(by_hand)
+    assert repr(axis) == repr(by_hand) and "found_on" not in repr(axis)

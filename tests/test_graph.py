@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aztec_tilings.engines import count_brute
+from aztec_tilings.factorize import apply_factorization, find_diagonal_axis
 from aztec_tilings.grids import (
     EmbeddedGraph,
     dual_graph,
@@ -418,3 +419,56 @@ def test_not_isomorphic_with_equal_row_and_column_counts():
     assert len(a.edges) == len(b.edges)
     assert normalize(a) != normalize(b)
     assert not isomorphic_embedded(a, b) and not isomorphic_embedded(b, a)
+
+
+def joins_every_unit_pair(g):
+    return set(g.edges) == set(EmbeddedGraph.from_points(g.vertices).edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cells_5x5, thinned_grid_graphs(), st.integers(0, 7), st.integers(-9, 9), st.integers(-9, 9),
+       st.randoms(use_true_random=False))
+def test_every_graph_marked_full_joins_every_unit_pair(cells, thinned, k, dx, dy, rng):
+    # mirrored in y = x and then placed, so that the dual graph has a diagonal axis
+    mirrored = cells | {(y, x) for x, y in cells}
+    dual = dual_graph(Region(cells=frozenset(map(moved(k, dx, dy), mirrored))))
+    sources = [dual, EmbeddedGraph.from_points(thinned.vertices), thinned, placed(thinned, k, dx, dy)]
+    assert [g.full for g in sources] == [True, True, False, False]
+    built = []
+    for g in sources:
+        keep = {p for p in g.vertices if rng.random() < 0.7}
+        derived = [induced_subgraph(g, keep), normalize(g), reduce_forced(g).reduced]
+        axis = find_diagonal_axis(g)
+        if axis is not None:
+            halves = apply_factorization(g, axis)
+            derived += [halves.g_plus, halves.g_minus]
+        # a derived graph is marked full exactly when its source is
+        assert all(h.full == g.full for h in derived)
+        built += derived
+    for g in sources + built:
+        if g.full:
+            assert joins_every_unit_pair(g)
+    # a full graph on one side and one with edges missing on the other
+    for g, h in ((sources[1], sources[3]), (normalize(sources[1]), thinned)):
+        same = normalize(g) == normalize(h)
+        assert isomorphic_embedded(g, h) == same and isomorphic_embedded(h, g) == same
+
+
+def test_outside_input_is_never_marked_full():
+    grid = EmbeddedGraph.from_points((x, y) for x in range(3) for y in range(4))
+    assert grid.full and joins_every_unit_pair(grid)
+    for g in (EmbeddedGraph.from_points(grid.vertices, grid.edges),
+              EmbeddedGraph(vertices=grid.vertices, edges=grid.edges),
+              EmbeddedGraph.from_json_dict(grid.to_json_dict())):
+        # every unit pair is present, yet nothing proved it
+        assert g == grid and not g.full
+        assert not normalize(g).full and not induced_subgraph(g, set(g.vertices)).full
+        assert not reduce_forced(g).reduced.full
+
+
+def test_full_is_not_part_of_equality_hash_or_repr():
+    grid = EmbeddedGraph.from_points((x, y) for x in range(3) for y in range(3))
+    same = EmbeddedGraph.from_points(grid.vertices, grid.edges)
+    assert grid.full and not same.full
+    assert grid == same and hash(grid) == hash(same) and len({grid, same}) == 1
+    assert repr(grid) == repr(same) and "full" not in repr(grid)
