@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import combinations, starmap
 from operator import sub
 
-from .errors import CountMismatchError, InvalidHolesError, InvalidOrderError
+from .errors import CountMismatchError, InvalidHolesError
 from .regions import KLEIN_ABUT, KLEIN_NONABUT, PINWHEEL, _require_order, check_index_set, set_A, set_B
 
 
@@ -64,8 +64,7 @@ _THEOREM1 = {
 
 def theorem1_value(kind: str, order: int) -> int:
     """Closed-form tiling count of a quartered diamond of the given order."""
-    if order < 1:
-        raise InvalidOrderError(f"order must be >= 1, got {order}")
+    _require_order(order)
     parity = order % 2
     if (kind, parity) not in _THEOREM1:
         raise ValueError(f"unknown quarter kind {kind!r}")
@@ -81,8 +80,7 @@ def theorem1_value(kind: str, order: int) -> int:
 
 def aztec_diamond_value(n: int) -> int:
     """Tiling count of the order-n diamond: 2^(n(n+1)/2)."""
-    if n < 1:
-        raise InvalidOrderError(f"order must be >= 1, got {n}")
+    _require_order(n)
     return 1 << (n * (n + 1) // 2)
 
 

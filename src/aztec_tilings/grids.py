@@ -41,6 +41,15 @@ _SIGN_SWAP = tuple((True, s(0, 1)[0], s(1, 0)[1]) if s(1, 0)[0] == 0 else (False
 _UNIT_STEPS = {(1, 0), (0, 1)}
 
 
+def _int_points(points: Iterable[Point]) -> Iterator[Point]:
+    """Each point as an (x, y) tuple, checked before any is merged with an equal one:
+    a coordinate that is not an int (a float or a bool) raises ValueError."""
+    for x, y in points:
+        if type(x) is not int or type(y) is not int:
+            raise ValueError(f"point ({x!r}, {y!r}) has a non-integer coordinate")
+        yield x, y
+
+
 @dataclass(frozen=True)
 class EmbeddedGraph:
     """Immutable grid graph: sorted vertex points plus sorted unit-step point pairs.
@@ -57,11 +66,13 @@ class EmbeddedGraph:
 
     def __post_init__(self) -> None:
         vs, es = self.vertices, self.edges
+        if type(vs) is not tuple or type(es) is not tuple:
+            raise ValueError("vertices and edges must be tuples")
+        points = set(_int_points(vs))
         if not all(map(lt, vs, vs[1:])):
             raise ValueError("vertices must be sorted and distinct")
         if not all(map(lt, es, es[1:])):
             raise ValueError("edges must be sorted and distinct")
-        points = set(vs)
         for p, q in es:
             if p not in points or q not in points:
                 raise ValueError(f"edge endpoint {p}-{q} is not a vertex")
@@ -87,12 +98,7 @@ class EmbeddedGraph:
 
         A coordinate that is not an int (a float or a bool) raises ValueError.
         """
-        point_set = set()
-        for x, y in points:
-            if type(x) is not int or type(y) is not int:
-                raise ValueError(f"point ({x!r}, {y!r}) has a non-integer coordinate")
-            point_set.add((x, y))
-        vs = tuple(sorted(point_set))
+        vs = tuple(sorted(set(_int_points(points))))
         # Edges hold the vertex tuples themselves, so they allocate no points of their own.
         vertex = {p: p for p in vs}.get
         if pairs is None:

@@ -179,5 +179,7 @@ def build_holey_ar_bar(m: int, n: int, remove: Iterable[int]) -> EmbeddedGraph:
 
 
 def _require_order(n: int) -> None:
-    if not 1 <= n <= MAX_ORDER:
-        raise InvalidOrderError(f"order must be in 1..{MAX_ORDER}, got {n}")
+    """The one check of an order, for the builders and the closed forms: an int
+    (a bool is not one) in 1..MAX_ORDER."""
+    if type(n) is not int or not 1 <= n <= MAX_ORDER:
+        raise InvalidOrderError(f"order must be in 1..{MAX_ORDER}, got {n!r}")

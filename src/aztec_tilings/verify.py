@@ -4,13 +4,13 @@ Each suite rebuilds its regions and graphs, counts with the engines, and
 compares against the independent side of the identity (closed form,
 scaled recurrence, reduced graph, or factorization product).  Reports
 keep a fixed case order and their JSON form contains no timing data, so
-repeated runs are byte-identical.
+repeated runs are byte-identical.  Each suite is a private case generator,
+and `run_suite` is the only code that runs one.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import json
 import random
@@ -87,27 +87,6 @@ class SuiteReport:
         return "\n".join(lines)
 
 
-# Suite name -> (runner, the run_suite bound it reads: "max_order", "max_n" or None,
-# and the largest order that bound builds, as a function of its value).
-_SUITES: dict[str, tuple[Callable[..., SuiteReport], str | None, Callable[[int], int] | None]] = {}
-
-
-def _suite(name: str, bound: str | None = None, top_order: Callable[[int], int] | None = None):
-    """Register a case generator as a named suite that times and reports its cases."""
-
-    def register(body: Callable[..., Iterator[VerifyCase]]) -> Callable[..., SuiteReport]:
-        @functools.wraps(body)
-        def run(*args, **kwargs) -> SuiteReport:
-            t0 = time.monotonic()
-            cases = tuple(body(*args, **kwargs))
-            return SuiteReport(suite=name, cases=cases, wall_ms=(time.monotonic() - t0) * 1000)
-
-        _SUITES[name] = (run, bound, top_order)
-        return run
-
-    return register
-
-
 def _case(cid: str, expected, actual) -> VerifyCase:
     return VerifyCase(case_id=cid, expected=str(expected), actual=str(actual))
 
@@ -116,8 +95,7 @@ def _bool_case(cid: str, value: bool) -> VerifyCase:
     return _case(cid, "true", str(value).lower())
 
 
-@_suite("theorem1", "max_order", top_order=lambda order: order)
-def suite_theorem1(max_order: int = 12) -> Iterator[VerifyCase]:
+def _theorem1_cases(max_order: int = 12) -> Iterator[VerifyCase]:
     """Engine count of every quartered region equals its closed form."""
     for order in range(1, max_order + 1):
         for kind in QUARTER_KINDS:
@@ -135,8 +113,7 @@ _LEMMA1 = {
 }
 
 
-@_suite("lemma1", "max_n", top_order=lambda n: 4 * n + 1)
-def suite_lemma1(max_n: int = 2) -> Iterator[VerifyCase]:
+def _lemma1_cases(max_n: int = 2) -> Iterator[VerifyCase]:
     """The four doubling recurrences, both sides counted independently."""
     for n in range(1, max_n + 1):
         for which, (kind_l, ord_l, kind_r, ord_r) in _LEMMA1.items():
@@ -154,8 +131,7 @@ _LEMMA2_PAIRS = (
 )
 
 
-@_suite("lemma2", "max_n", top_order=lambda n: 4 * n + 3)
-def suite_lemma2(max_n: int = 2) -> Iterator[VerifyCase]:
+def _lemma2_cases(max_n: int = 2) -> Iterator[VerifyCase]:
     """Forced-edge reduction maps the larger dual onto the smaller one."""
     for n in range(1, max_n + 1):
         for name, kind, big, small in _LEMMA2_PAIRS:
@@ -180,8 +156,7 @@ _LEMMA3_TABLE = (
 )
 
 
-@_suite("lemma3", "max_n", top_order=lambda n: 4 * n)
-def suite_lemma3(max_n: int = 2) -> Iterator[VerifyCase]:
+def _lemma3_cases(max_n: int = 2) -> Iterator[VerifyCase]:
     """Holey rectangles factor into quartered duals with the right product."""
     for n in range(1, max_n + 1):
         for name, builder, plus_kind, minus_kind, order, _ in _LEMMA3_TABLE:
@@ -217,29 +192,25 @@ def _holey_cases(seed: int, fixed: tuple, positions: Callable[[int], range],
         yield _case(cid, formula(m, n, holes), engines.count(builder(m, n, holes)))
 
 
-@_suite("lemma4")
-def suite_lemma4() -> Iterator[VerifyCase]:
+def _lemma4_cases() -> Iterator[VerifyCase]:
     """Hole-position formula equals engine count on fixed and random instances."""
     yield from _holey_cases(_RANDOM_SEED, (3, 5, (1, 3, 5)), lambda n: range(1, n + 1),
                             build_holey_ar, lemma4_value, "ar({m},{n})keep={holes}")
 
 
-@_suite("lemma5")
-def suite_lemma5() -> Iterator[VerifyCase]:
+def _lemma5_cases() -> Iterator[VerifyCase]:
     """Bottomless variant of the hole-position formula, same scheme."""
     yield from _holey_cases(_RANDOM_SEED + 1, (3, 5, (3, 4, 6)), lambda n: range(1, n + 2),
                             build_holey_ar_bar, lemma5_value, "arbar({m},{n})remove={holes}")
 
 
-@_suite("lemma6", "max_n", top_order=lambda n: n)
-def suite_lemma6(max_n: int = 50) -> Iterator[VerifyCase]:
+def _lemma6_cases(max_n: int = 50) -> Iterator[VerifyCase]:
     """Exact rational equality of the difference-product ratio identity."""
     for n in range(1, max_n + 1):
         yield _case(f"n={n}", lemma6_rhs(n), lemma6_lhs(n))
 
 
-@_suite("factorization", "max_n", top_order=lambda n: 4 * n)
-def suite_factorization(max_n: int = 2) -> Iterator[VerifyCase]:
+def _factorization_cases(max_n: int = 2) -> Iterator[VerifyCase]:
     """M(G) = 2^w M(G+) M(G-) on the 4-cycle and lemma3's rectangles, G counted first."""
     targets = [("square", EmbeddedGraph.from_points([(0, 0), (0, 1), (1, 0), (1, 1)]))]
     targets += [(label(n), builder(n)) for n in range(1, max_n + 1)
@@ -255,8 +226,7 @@ def suite_factorization(max_n: int = 2) -> Iterator[VerifyCase]:
         yield _case(name, m_g, product)
 
 
-@_suite("engines")
-def suite_engines() -> Iterator[VerifyCase]:
+def _engines_cases() -> Iterator[VerifyCase]:
     """All engines agree on induced subgraphs of the 6x6 grid, each vertex kept at 1/2."""
     rng = random.Random(_RANDOM_SEED)
     for k in range(_ENGINE_TRIALS):
@@ -268,32 +238,46 @@ def suite_engines() -> Iterator[VerifyCase]:
             yield _case(f"rnd#{k:03d}:fkt", brute, engines.count_fkt(g))
 
 
+# Suite name -> (case generator, the run_suite bound it reads: "max_order", "max_n" or
+# None, and the largest order that bound builds, as a function of its value).
+_SUITES: dict[str, tuple[Callable[..., Iterator[VerifyCase]], str | None, Callable[[int], int] | None]] = {
+    "theorem1": (_theorem1_cases, "max_order", lambda order: order),
+    "lemma1": (_lemma1_cases, "max_n", lambda n: 4 * n + 1),
+    "lemma2": (_lemma2_cases, "max_n", lambda n: 4 * n + 3),
+    "lemma3": (_lemma3_cases, "max_n", lambda n: 4 * n),
+    "lemma4": (_lemma4_cases, None, None),
+    "lemma5": (_lemma5_cases, None, None),
+    "lemma6": (_lemma6_cases, "max_n", lambda n: n),
+    "factorization": (_factorization_cases, "max_n", lambda n: 4 * n),
+    "engines": (_engines_cases, None, None),
+}
 SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(name: str, max_order: int | None = None, max_n: int | None = None) -> SuiteReport:
-    """Run one named suite with its bound: max_order for theorem1, max_n where read.
+    """The only runner of a suite: check its bound, then run and time its cases.
 
-    None keeps the suite's default (12 for theorem1). A bound the suite does not
-    read, one below 1 (it would run no case), or one that would build an order above
-    MAX_ORDER is rejected before any case runs.
+    max_order is theorem1's bound and max_n the others' where read; None keeps the
+    suite's default (12 for theorem1). A bound the suite does not read, one below 1
+    (it would run no case), or one that would build an order above MAX_ORDER is
+    rejected before any case runs.
     """
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}")
-    suite, bound, top_order = _SUITES[name]
+    generate, bound, top_order = _SUITES[name]
     for key, value in (("max_order", max_order), ("max_n", max_n)):
         if value is not None and key != bound:
             raise ValueError(f"suite {name!r} takes no {key} bound")
         if value is not None and value < 1:
             raise ValueError(f"{key} must be >= 1, got {value}")
     value = max_order if bound == "max_order" else max_n
-    if value is None:
-        return suite()
-    if top_order(value) > MAX_ORDER:
+    if value is not None and top_order(value) > MAX_ORDER:
         limit = max(k for k in range(MAX_ORDER + 1) if top_order(k) <= MAX_ORDER)
         raise ValueError(f"{bound} must be at most {limit} for suite {name!r}, got {value}: "
                          f"it would build order {top_order(value)}, above MAX_ORDER = {MAX_ORDER}")
-    return suite(**{bound: value})
+    t0 = time.monotonic()
+    cases = tuple(generate() if value is None else generate(value))
+    return SuiteReport(suite=name, cases=cases, wall_ms=(time.monotonic() - t0) * 1000)
 
 
 def run_all(max_order: int | None = None) -> list[SuiteReport]:

@@ -24,6 +24,7 @@ from aztec_tilings.grids import dual_graph
 from aztec_tilings.regions import (
     KLEIN_ABUT,
     KLEIN_NONABUT,
+    MAX_ORDER,
     PINWHEEL,
     QUARTER_KINDS,
     build_quartered,
@@ -196,8 +197,19 @@ def test_theorem1_rejects_bad_order():
 
 @pytest.mark.parametrize("n", (0, -1))
 def test_diamond_value_rejects_bad_order(n):
-    with pytest.raises(InvalidOrderError, match=f"order must be >= 1, got {n}"):
+    with pytest.raises(InvalidOrderError, match=f"order must be in 1..300, got {n}"):
         aztec_diamond_value(n)
+
+
+# The closed forms take the builders' orders: past MAX_ORDER, theorem1_value(PINWHEEL, 4000)
+# once ran past 20 s and aztec_diamond_value(10**10) ran out of memory.
+@pytest.mark.parametrize("order", [MAX_ORDER + 1, 2.0, True])
+def test_closed_forms_refuse_what_the_builders_refuse(order):
+    closed_forms = [aztec_diamond_value] + [functools.partial(theorem1_value, kind) for kind in QUARTER_KINDS]
+    for closed_form in closed_forms:
+        with pytest.raises(InvalidOrderError) as raised:
+            closed_form(order)
+        assert str(raised.value) == f"order must be in 1..{MAX_ORDER}, got {order!r}"
 
 
 def test_diamond_values():

@@ -372,9 +372,20 @@ def test_quarters_built_unvalidated_pass_the_validator(kind):
         (lambda: EmbeddedGraph(vertices=SQUARE_POINTS,
                                edges=(((0, 0), (0, 2)), ((0, 1), (1, 0)))),
          "edge endpoint (0, 0)-(0, 2) is not a vertex"),
+        # The constructor applies the rule of from_points and JSON input.  The float graph's
+        # two points are one apart, so it once counted 0 matchings where count_brute counted 1.
+        (lambda: EmbeddedGraph(vertices=((0.5, 0), (1.5, 0)), edges=(((0.5, 0), (1.5, 0)),)),
+         "point (0.5, 0) has a non-integer coordinate"),
+        (lambda: EmbeddedGraph(vertices=((0, 0), (True, 0)), edges=()),
+         "point (True, 0) has a non-integer coordinate"),
+        (lambda: EmbeddedGraph(vertices=list(SQUARE_POINTS), edges=()),
+         "vertices and edges must be tuples"),
+        (lambda: EmbeddedGraph(vertices=SQUARE_POINTS, edges=[((0, 0), (0, 1))]),
+         "vertices and edges must be tuples"),
     ],
     ids=["float_point", "float_cell", "pair_endpoint", "pair_not_a_step", "unsorted", "bad_edge",
-         "first_of_two_not_a_step", "first_of_two_not_a_vertex"],
+         "first_of_two_not_a_step", "first_of_two_not_a_vertex", "constructor_float_points",
+         "constructor_bool_coordinate", "constructor_vertex_list", "constructor_edge_list"],
 )
 def test_outside_input_is_still_validated_with_the_same_message(build, message):
     with pytest.raises(ValueError) as raised:

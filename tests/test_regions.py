@@ -83,6 +83,15 @@ def test_orders_stop_at_the_limit():
             build(MAX_ORDER + 1)
 
 
+@pytest.mark.parametrize("order", [True, 2.0, "3"])
+def test_an_order_that_is_not_an_int_is_refused(order):
+    for build in (set_A, set_B, build_aztec_diamond, lambda n: build_quartered(n, PINWHEEL),
+                  lambda n: build_aztec_rectangle(1, n), lambda n: build_holey_ar(1, n, (1,))):
+        with pytest.raises(InvalidOrderError) as raised:
+            build(order)
+        assert str(raised.value) == f"order must be in 1..{MAX_ORDER}, got {order!r}"
+
+
 def test_side_doubled_examples():
     # doubled cell centres: (1, 1) is the centre (0.5, 0.5) of cell (0, 0)
     assert _side_doubled(1, 1) == 1

@@ -10,9 +10,14 @@ from aztec_tilings.regions import MAX_ORDER
 
 
 def test_theorem1_suite_case_count():
-    report = verify.suite_theorem1(max_order=12)
+    report = verify.run_suite("theorem1", max_order=12)
     assert report.ok
     assert len(report.cases) == 36
+
+
+def test_run_suite_is_the_only_way_to_run_a_suite():
+    # suite_theorem1(max_order=0) once returned an ok report of 0 cases
+    assert [name for name in vars(verify) if name.startswith("suite_")] == []
 
 
 def test_each_suite_passes():
@@ -36,15 +41,15 @@ def test_a_graph_with_no_diagonal_axis_fails_its_axis_case(name, cases, monkeypa
 
 
 def test_engines_suite_has_enough_trials():
-    report = verify.suite_engines()
+    report = verify.run_suite("engines")
     assert report.ok
     dp_cases = [c for c in report.cases if c.case_id.endswith(":dp")]
     assert len(dp_cases) == 300
 
 
 def test_json_is_deterministic():
-    a = verify.reports_to_json([verify.suite_lemma4()])
-    b = verify.reports_to_json([verify.suite_lemma4()])
+    a = verify.reports_to_json([verify.run_suite("lemma4")])
+    b = verify.reports_to_json([verify.run_suite("lemma4")])
     assert a == b
     payload = json.loads(a)
     assert payload["suite"] == "lemma4"
@@ -141,14 +146,14 @@ def test_run_suite_rejects_max_n_it_does_not_read(name):
 
 
 def test_combined_json_shape():
-    reports = [verify.suite_lemma6(max_n=3), verify.suite_factorization(max_n=1)]
+    reports = [verify.run_suite("lemma6", max_n=3), verify.run_suite("factorization", max_n=1)]
     payload = json.loads(verify.reports_to_json(reports))
     assert payload["suite"] == "all"
     assert [s["suite"] for s in payload["suites"]] == ["lemma6", "factorization"]
 
 
 def test_csv_output():
-    text = verify.reports_to_csv([verify.suite_lemma6(max_n=2)])
+    text = verify.reports_to_csv([verify.run_suite("lemma6", max_n=2)])
     lines = text.splitlines()
     assert lines[0] == "suite,case,expected,actual,ok"
     assert lines[1] == "lemma6,n=1,3,3,true"
@@ -157,7 +162,7 @@ def test_csv_output():
 def test_csv_rows_parse_to_the_json_cases():
     # lemma4 ids such as ar(3,5)keep=1,3,5 and factorization ids such as
     # ar(2,4)B1 hold commas.
-    reports = [verify.suite_lemma4(), verify.suite_factorization(max_n=1)]
+    reports = [verify.run_suite("lemma4"), verify.run_suite("factorization", max_n=1)]
     rows = list(csv.reader(io.StringIO(verify.reports_to_csv(reports))))
     assert rows[0] == ["suite", "case", "expected", "actual", "ok"]
     want = [
@@ -170,7 +175,7 @@ def test_csv_rows_parse_to_the_json_cases():
 
 
 def test_pretty_output_mentions_suite():
-    report = verify.suite_factorization(max_n=1)
+    report = verify.run_suite("factorization", max_n=1)
     assert "factorization" in report.pretty()
 
 
