@@ -5,9 +5,9 @@ counting path.  `count_brute` is the definition-level oracle, the
 determinant method (division-free +-1 pivots, then Bareiss on the few
 columns left) counts every grid graph in polynomial time and is what
 "auto" runs, and the broken-profile sweep, exponential only in the
-narrower side and bounded by a live-state budget, rechecks it.  Past that
-budget (PROFILE_STATE_LIMIT, already at ad(11)) no engine rechecks a count
-of 24 or more vertices, and a crosscheck raises TooLargeError.
+narrower side and bounded by a live-state budget, rechecks it.  Brute rechecks
+every graph within its own limit, BRUTE_VERTEX_LIMIT = 40 vertices; past it and
+PROFILE_STATE_LIMIT (already at ad(11)) a crosscheck raises TooLargeError.
 `fkt_supported` is on no counting path: it is the unit-square face test
 that gates the `engines` verify suite's `:fkt` cases.
 """
@@ -22,7 +22,6 @@ from .grids import EmbeddedGraph, Point
 
 BRUTE_VERTEX_LIMIT = 40
 PROFILE_STATE_LIMIT = 1 << 18
-AUTO_CROSSCHECK_BELOW = 24
 _LEAF_WIDTH = 4
 # count_fkt's rule for pivoting fewest holders first, read off BENCH_22.json's table
 _HOLDERS_MAX_VERTICES = 1000
@@ -388,8 +387,8 @@ def count(g: EmbeddedGraph, engine: str = "auto", crosscheck: bool = False) -> i
         raise ValueError(f"unknown engine {engine!r}")
     result = _DISPATCH[engine](g)
     if crosscheck:
-        # Brute rechecks small graphs, the sweep rechecks the others, fkt the sweep.
-        if engine != "brute" and len(g.vertices) < AUTO_CROSSCHECK_BELOW:
+        # Brute rechecks every graph within its own limit, the sweep the others, fkt the sweep.
+        if engine != "brute" and len(g.vertices) <= BRUTE_VERTEX_LIMIT:
             name, recount = "brute", count_brute
         elif engine != "profile_dp":
             name, recount = "profile_dp", count_profile_dp

@@ -99,9 +99,9 @@ def lemma5_value(m: int, n: int, a: tuple[int, ...]) -> int:
 
 
 def delta(s: tuple[int, ...]) -> int:
-    """Product of pairwise differences (later minus earlier) of an index set."""
-    if not s:
-        raise InvalidHolesError("index set must be non-empty")
+    """Product of pairwise differences (later minus earlier) of a non-empty tuple of ints."""
+    if not s or not all(type(v) is int for v in s):
+        raise InvalidHolesError(f"index set must be a non-empty tuple of ints, got {s!r}")
     return _product(list(_differences(s)))
 
 

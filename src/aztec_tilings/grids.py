@@ -11,6 +11,7 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import add, itemgetter, lt
 from typing import Iterable, Iterator, Optional, TYPE_CHECKING
 
@@ -68,7 +69,11 @@ class EmbeddedGraph:
         vs, es = self.vertices, self.edges
         if type(vs) is not tuple or type(es) is not tuple:
             raise ValueError("vertices and edges must be tuples")
-        points = set(_int_points(vs))
+        if {*map(type, vs), *map(type, es), *map(type, chain.from_iterable(es))} - {tuple}:
+            raise ValueError("every vertex, edge and edge endpoint must be a tuple")
+        for _ in _int_points(chain(vs, chain.from_iterable(es))):
+            pass  # _int_points raises at the first point, vertices first, that is not two ints
+        points = set(vs)
         if not all(map(lt, vs, vs[1:])):
             raise ValueError("vertices must be sorted and distinct")
         if not all(map(lt, es, es[1:])):

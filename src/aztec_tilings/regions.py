@@ -139,15 +139,14 @@ def bottom_row_points(n: int) -> list[tuple[int, int]]:
 
 def build_aztec_rectangle(m: int, n: int) -> EmbeddedGraph:
     """The m x n rectangle graph on white squares with diagonal adjacency."""
-    _require_order(m)
-    _require_order(n)
+    _require_order(m, n)
     return EmbeddedGraph.from_points(_ar_points(m, n))
 
 
 def check_index_set(values: tuple[int, ...], size: int, width: int) -> None:
-    """Require exactly size strictly ascending positions inside 1..width."""
-    if list(values) != sorted(set(values)):
-        raise InvalidHolesError(f"positions {values} are not strictly ascending")
+    """Require exactly size strictly ascending int positions (a bool is not one) inside 1..width."""
+    if not all(type(v) is int for v in values) or list(values) != sorted(set(values)):
+        raise InvalidHolesError(f"positions {values} are not strictly ascending ints")
     if len(values) != size:
         raise InvalidHolesError(f"expected {size} positions, got {len(values)}")
     if values and not (1 <= values[0] and values[-1] <= width):
@@ -156,10 +155,8 @@ def check_index_set(values: tuple[int, ...], size: int, width: int) -> None:
 
 def _holey_rectangle(m: int, n: int, positions: Iterable[int], width: int,
                      holes: Callable[[tuple[int, ...]], set[tuple[int, int]]]) -> EmbeddedGraph:
-    """The m x n rectangle graph less holes(positions): both orders, then the m
-    positions against 1..width, are checked before any point is built."""
-    _require_order(m)
-    _require_order(n)
+    """The m x n rectangle less holes(positions); its orders, then its positions, are checked first."""
+    _require_order(m, n)
     positions = tuple(positions)
     check_index_set(positions, m, width)
     return EmbeddedGraph.from_points(_ar_points(m, n) - holes(positions))
@@ -178,8 +175,8 @@ def build_holey_ar_bar(m: int, n: int, remove: Iterable[int]) -> EmbeddedGraph:
         *bottom_row_points(n), *((k, n + 2 - k) for k in removed)})
 
 
-def _require_order(n: int) -> None:
-    """The one check of an order, for the builders and the closed forms: an int
-    (a bool is not one) in 1..MAX_ORDER."""
-    if type(n) is not int or not 1 <= n <= MAX_ORDER:
-        raise InvalidOrderError(f"order must be in 1..{MAX_ORDER}, got {n!r}")
+def _require_order(*orders: int) -> None:
+    """The one order check, for the builders and closed forms: each an int (no bool) in 1..MAX_ORDER."""
+    for n in orders:
+        if type(n) is not int or not 1 <= n <= MAX_ORDER:
+            raise InvalidOrderError(f"order must be in 1..{MAX_ORDER}, got {n!r}")

@@ -258,9 +258,9 @@ def run_suite(name: str, max_order: int | None = None, max_n: int | None = None)
     """The only runner of a suite: check its bound, then run and time its cases.
 
     max_order is theorem1's bound and max_n the others' where read; None keeps the
-    suite's default (12 for theorem1). A bound the suite does not read, one below 1
-    (it would run no case), or one that would build an order above MAX_ORDER is
-    rejected before any case runs.
+    suite's default (12 for theorem1). A bound the suite does not read, one that is
+    not an int >= 1 (a bool is not an int; below 1 no case would run), or one that
+    would build an order above MAX_ORDER is rejected before any case runs.
     """
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}")
@@ -268,8 +268,8 @@ def run_suite(name: str, max_order: int | None = None, max_n: int | None = None)
     for key, value in (("max_order", max_order), ("max_n", max_n)):
         if value is not None and key != bound:
             raise ValueError(f"suite {name!r} takes no {key} bound")
-        if value is not None and value < 1:
-            raise ValueError(f"{key} must be >= 1, got {value}")
+        if value is not None and (type(value) is not int or value < 1):
+            raise ValueError(f"{key} must be an int >= 1, got {value!r}")
     value = max_order if bound == "max_order" else max_n
     if value is not None and top_order(value) > MAX_ORDER:
         limit = max(k for k in range(MAX_ORDER + 1) if top_order(k) <= MAX_ORDER)

@@ -11,6 +11,7 @@ import pytest
 
 import aztec_tilings
 from aztec_tilings import regions
+from aztec_tilings.engines import BRUTE_VERTEX_LIMIT
 from aztec_tilings.grids import EmbeddedGraph
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -259,20 +260,23 @@ def test_gen_output_bytes_are_pinned(args, digest):
 
 
 def test_count_region_with_holes_crosschecks():
-    # 34 cells and two holes: past brute's crosscheck range, so the sweep rechecks the determinant
-    cells = [[i, j] for i in range(6) for j in range(6) if (i, j) not in ((1, 1), (3, 4))]
+    # 46 cells and two holes: past BRUTE_VERTEX_LIMIT, so the sweep rechecks the determinant
+    cells = [[i, j] for i in range(6) for j in range(8) if (i, j) not in ((1, 1), (3, 4))]
+    assert len(cells) > BRUTE_VERTEX_LIMIT
     proc = run_cli("count", "--input", "-", "--crosscheck", stdin=json.dumps({"cells": cells}))
     assert proc.returncode == 0
-    assert proc.stdout.strip() == "500"
+    assert proc.stdout.strip() == "15627"
 
 
 def test_count_crosscheck_skips_the_empty_columns_before_a_far_domino():
-    # a 4x6 grid and a domino 10^9 columns away: the sweep rechecks fkt over 26 points
-    points = [(x, y) for x in range(6) for y in range(4)] + [(10**9, 0), (10**9 + 1, 0)]
+    # a 6x7 grid and a domino 10^9 columns away: the sweep rechecks fkt over 44 points,
+    # past BRUTE_VERTEX_LIMIT
+    points = [(x, y) for x in range(7) for y in range(6)] + [(10**9, 0), (10**9 + 1, 0)]
+    assert len(points) > BRUTE_VERTEX_LIMIT
     graph = json.dumps(EmbeddedGraph.from_points(points).to_json_dict())
     proc = run_cli("count", "--input", "-", "--crosscheck", stdin=graph, timeout=10)
     assert proc.returncode == 0
-    assert proc.stdout.strip() == "281"
+    assert proc.stdout.strip() == "31529"
 
 
 def test_count_crosscheck_past_the_sweep_budget_exits_2_naming_both_engines():

@@ -40,10 +40,10 @@ GRID_6x6 = frozenset((i, j) for i in range(6) for j in range(6))
 FOUR_CYCLE = EmbeddedGraph.from_points([(0, 0), (1, 0), (0, 1), (1, 1)])
 EMPTY = EmbeddedGraph.from_points([])
 
-# 34 vertices and two holes: past brute's crosscheck range, and two faces larger than a unit
-# square
+# 46 vertices and two holes: past BRUTE_VERTEX_LIMIT, so fkt and the sweep recheck each
+# other, and two faces larger than a unit square
 TWO_HOLES = EmbeddedGraph.from_points(
-    [(i, j) for i in range(6) for j in range(6) if (i, j) not in ((1, 1), (3, 4))]
+    [(i, j) for i in range(6) for j in range(8) if (i, j) not in ((1, 1), (3, 4))]
 )
 
 
@@ -551,19 +551,33 @@ def test_count_disagreement_raises(monkeypatch):
 
 
 def test_crosscheck_past_brute_limit_uses_fkt(monkeypatch):
-    # 40 vertices: brute could count it, but it is past AUTO_CROSSCHECK_BELOW (24)
-    g = dual_graph(build_aztec_diamond(4))
+    # 60 vertices: past BRUTE_VERTEX_LIMIT (40), so fkt rechecks the sweep
+    g = dual_graph(build_aztec_diamond(5))
+    assert len(g) > BRUTE_VERTEX_LIMIT
     monkeypatch.setattr(eng, "count_fkt", lambda _: 99)
-    with pytest.raises(CountMismatchError):
+    with pytest.raises(CountMismatchError, match="profile_dp counted 32768 but fkt counted 99"):
         eng.count(g, engine="profile_dp", crosscheck=True)
 
 
 def test_auto_crosscheck_past_brute_limit_uses_profile_dp(monkeypatch):
-    # auto counts it by fkt; at 40 vertices it is past AUTO_CROSSCHECK_BELOW (24) for brute
-    g = dual_graph(build_aztec_diamond(4))
+    # auto counts it by fkt; at 60 vertices it is past BRUTE_VERTEX_LIMIT (40) for brute
+    g = dual_graph(build_aztec_diamond(5))
+    assert len(g) > BRUTE_VERTEX_LIMIT
     monkeypatch.setattr(eng, "count_profile_dp", lambda _: 99)
-    with pytest.raises(CountMismatchError):
+    with pytest.raises(CountMismatchError, match="fkt counted 32768 but profile_dp counted 99"):
         eng.count(g, engine="auto", crosscheck=True)
+
+
+@pytest.mark.parametrize("engine", ["auto", "fkt", "profile_dp"])
+@pytest.mark.parametrize("n", [3, 4])
+def test_crosscheck_within_brute_limit_reaches_brute(engine, n, monkeypatch):
+    # ad(3) has 24 vertices and ad(4) 40, BRUTE_VERTEX_LIMIT: brute rechecks both
+    g = dual_graph(build_aztec_diamond(n))
+    assert 24 <= len(g) <= BRUTE_VERTEX_LIMIT
+    assert eng.count(g, engine=engine, crosscheck=True) == aztec_diamond_value(n)
+    monkeypatch.setattr(eng, "count_brute", lambda _: 99)
+    with pytest.raises(CountMismatchError, match="but brute counted 99"):
+        eng.count(g, engine=engine, crosscheck=True)
 
 
 def test_crosscheck_that_cannot_run_names_both_engines(monkeypatch):
@@ -589,19 +603,20 @@ def test_auto_counts_unit_square_graphs_by_fkt(monkeypatch):
 
 def test_auto_counts_graphs_with_a_larger_face_by_fkt(monkeypatch):
     monkeypatch.setattr(eng, "count_profile_dp", _refuse("count_profile_dp"))
-    assert eng.count(TWO_HOLES) == 500
+    assert eng.count(TWO_HOLES) == 15627
 
 
 def test_auto_makes_no_face_check(monkeypatch):
     monkeypatch.setattr(eng, "fkt_supported", _refuse("fkt_supported"))
     g = dual_graph(build_quartered(12, KLEIN_NONABUT))
     assert eng.count(g) == theorem1_value(KLEIN_NONABUT, 12)
-    assert eng.count(TWO_HOLES, crosscheck=True) == 500
+    assert eng.count(TWO_HOLES, crosscheck=True) == 15627
 
 
 def test_graph_with_holes_crosschecks_both_ways():
-    assert count(TWO_HOLES, crosscheck=True) == 500
-    assert count(TWO_HOLES, engine="profile_dp", crosscheck=True) == 500
+    assert len(TWO_HOLES) > BRUTE_VERTEX_LIMIT
+    assert count(TWO_HOLES, crosscheck=True) == 15627
+    assert count(TWO_HOLES, engine="profile_dp", crosscheck=True) == 15627
 
 
 def test_counts_are_deterministic():

@@ -247,6 +247,9 @@ def test_delta_values():
     assert delta((7,)) == 1
     with pytest.raises(InvalidHolesError):
         delta(())
+    for s in ((1.0, 3, 5), (1, 3.5), (True, 3)):
+        with pytest.raises(InvalidHolesError, match="ints"):
+            delta(s)
 
 
 def test_difference_product_ratio():

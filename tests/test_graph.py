@@ -378,14 +378,36 @@ def test_quarters_built_unvalidated_pass_the_validator(kind):
          "point (0.5, 0) has a non-integer coordinate"),
         (lambda: EmbeddedGraph(vertices=((0, 0), (True, 0)), edges=()),
          "point (True, 0) has a non-integer coordinate"),
+        # (1.0, 0) equals the vertex (1, 0), so it once passed and stayed in edges and repr
+        (lambda: EmbeddedGraph(vertices=((0, 0), (1, 0)), edges=(((0, 0), (1.0, 0)),)),
+         "point (1.0, 0) has a non-integer coordinate"),
+        (lambda: EmbeddedGraph(vertices=((0, 0), (1, 0)), edges=(((0, False), (1, 0)),)),
+         "point (0, False) has a non-integer coordinate"),
         (lambda: EmbeddedGraph(vertices=list(SQUARE_POINTS), edges=()),
          "vertices and edges must be tuples"),
         (lambda: EmbeddedGraph(vertices=SQUARE_POINTS, edges=[((0, 0), (0, 1))]),
          "vertices and edges must be tuples"),
+        # a list point or edge once passed and left a graph that cannot be hashed
+        (lambda: EmbeddedGraph(vertices=((0, 0), (0, 1)), edges=(([0, 0], [0, 1]),)),
+         "every vertex, edge and edge endpoint must be a tuple"),
+        (lambda: EmbeddedGraph(vertices=((0, 0), (0, 1)), edges=([(0, 0), (0, 1)],)),
+         "every vertex, edge and edge endpoint must be a tuple"),
+        (lambda: EmbeddedGraph(vertices=([0, 0], [0, 1]), edges=()),
+         "every vertex, edge and edge endpoint must be a tuple"),
+        (lambda: EmbeddedGraph(vertices=((0, 0), (0, 1)), edges=(((0, 0), None),)),
+         "every vertex, edge and edge endpoint must be a tuple"),
+        # a pair endpoint that is not a vertex is refused before the pair is ordered
+        (lambda: EmbeddedGraph.from_points([(0, 0), (0, 1)], [((0, 0), (0, None))]),
+         "edge endpoint (0, 0)-(0, None) is not a vertex"),
+        (lambda: EmbeddedGraph.from_points([(0, 0), (0, 1)], [((0, 0), "ab")]),
+         "edge endpoint (0, 0)-ab is not a vertex"),
     ],
     ids=["float_point", "float_cell", "pair_endpoint", "pair_not_a_step", "unsorted", "bad_edge",
          "first_of_two_not_a_step", "first_of_two_not_a_vertex", "constructor_float_points",
-         "constructor_bool_coordinate", "constructor_vertex_list", "constructor_edge_list"],
+         "constructor_bool_coordinate", "constructor_float_endpoint", "constructor_bool_endpoint",
+         "constructor_vertex_list", "constructor_edge_list", "constructor_list_endpoints",
+         "constructor_list_edge", "constructor_list_vertex", "constructor_none_endpoint", "pair_none_endpoint",
+         "pair_string_endpoint"],
 )
 def test_outside_input_is_still_validated_with_the_same_message(build, message):
     with pytest.raises(ValueError) as raised:

@@ -310,6 +310,14 @@ def test_holey_rejects_bad_positions():
         build_holey_ar(2, 4, (3, 2))
 
 
+@pytest.mark.parametrize("positions", [(1.5, 3, 5), (1.0, 3, 5), (True, 3, 5), (1, 3, False)])
+def test_positions_that_are_not_ints_are_refused_at_every_way_in(positions):
+    # (1.5, 3, 5) once built a rectangle with two kept positions, which counts 0
+    for refuse in (build_holey_ar, build_holey_ar_bar, lemma4_value, lemma5_value):
+        with pytest.raises(InvalidHolesError, match="not strictly ascending ints"):
+            refuse(3, 5, positions)
+
+
 def test_index_sets():
     assert set_A(1) == (1, 4)
     assert set_A(2) == (1, 3, 6, 8)

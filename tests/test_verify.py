@@ -108,6 +108,25 @@ def _no_case(*args):
     raise AssertionError("a case ran")
 
 
+@pytest.mark.parametrize(
+    "name,bounds,message",
+    [
+        # True once read as 1 and returned an ok report of 3 cases
+        ("theorem1", {"max_order": True}, "max_order must be an int >= 1, got True"),
+        ("theorem1", {"max_order": 2.0}, "max_order must be an int >= 1, got 2.0"),
+        # 2.0 once raised TypeError from range
+        ("lemma6", {"max_n": 2.0}, "max_n must be an int >= 1, got 2.0"),
+        ("lemma1", {"max_n": False}, "max_n must be an int >= 1, got False"),
+    ],
+)
+def test_run_suite_refuses_a_bound_that_is_not_an_int_before_any_case(name, bounds, message, monkeypatch):
+    for builder in ("build_quartered", "lemma6_rhs"):
+        monkeypatch.setattr(verify, builder, _no_case)
+    with pytest.raises(ValueError) as raised:
+        verify.run_suite(name, **bounds)
+    assert str(raised.value) == message
+
+
 # The largest max_n each bounded suite takes: its largest order, 4n+1, 4n+3, 4n or n,
 # stays within MAX_ORDER = 300.
 @pytest.mark.parametrize(
