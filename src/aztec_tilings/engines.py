@@ -15,7 +15,7 @@ that gates the `engines` verify suite's `:fkt` cases.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heapreplace
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .errors import CountMismatchError, TooLargeError
 from .grids import EmbeddedGraph, Point
@@ -277,6 +277,11 @@ def fkt_supported(g: EmbeddedGraph) -> bool:
     return cycles == squares
 
 
+def _band_order(points: Sequence[Point], width: int, height: int) -> Sequence[Point]:
+    """Sorted points of a width x height box in band order: along the wider x/y axis."""
+    return sorted(points, key=lambda p: p[::-1]) if height > width else points
+
+
 def _dissection_order(points: list[Point]) -> list[Point]:
     """Nested-dissection order of sorted points: low block, high block, separator.
 
@@ -285,9 +290,9 @@ def _dissection_order(points: list[Point]) -> list[Point]:
     only, and no block runs short of rows for its pivots.  A block of at most
     64 points (a smaller one costs more to split than it saves) or at most
     _LEAF_WIDTH wide (band order wins on such strips up to ~2000 long) is a
-    leaf in band order along its wider x/y axis.  Blocks keep input order, so
-    stay sorted, and wait on a stack, not the call stack: a split only halves
-    an extent, so blocks can nest deeper than Python's recursion limit.
+    leaf in `_band_order`.  Blocks keep input order, so stay sorted, and wait
+    on a stack, not the call stack: a split only halves an extent, so blocks
+    can nest deeper than Python's recursion limit.
     """
     order: list[Point] = []  # built back to front
     stack = [points]
@@ -298,7 +303,7 @@ def _dissection_order(points: list[Point]) -> list[Point]:
         xs, ys = [x for x, _ in block], [y for _, y in block]
         width, height = max(xs) - min(xs) + 1, max(ys) - min(ys) + 1
         if len(block) <= 64 or min(width, height) <= _LEAF_WIDTH:
-            order += reversed(sorted(block, key=lambda p: p[::-1]) if height > width else block)
+            order += reversed(_band_order(block, width, height))
             continue
         us, vs = [x + y for x, y in block], [x - y for x, y in block]
         c = us if max(us) - min(us) >= max(vs) - min(vs) else vs
@@ -331,15 +336,16 @@ def count_fkt(g: EmbeddedGraph) -> int:
     are matched among themselves, so J is even and each such cycle signs
     (-1)^(k - 1): Kasteleyn's condition, under which every perfect
     matching adds the same sign to the determinant and |det| is the
-    count.  Reordering rows or columns only flips the sign of det.  Graphs
-    of more than _HOLDERS_MAX_VERTICES vertices, or less than
-    _HOLDERS_MIN_SIDE wide either way, number both in `_dissection_order`,
-    which keeps the fill in each block and its separator.  Others keep
-    vertex order, and `_abs_det` takes columns fewest holders first, as the
-    order costs them more than it saves (BENCH_22.json); every placement of
-    a shape takes the same path.  `_abs_det` pivots on a +-1 entry wherever
-    one is left, so Bareiss runs only on a small tail: n columns on ad(n)
-    on either path, 27 of 2328 on r(96).
+    count.  Reordering rows or columns only flips the sign of det.  A graph
+    less than _HOLDERS_MIN_SIDE wide either way is one band at any size:
+    `_band_order` numbers both, and columns come in index order
+    (BENCH_29.json).  Other graphs of at most _HOLDERS_MAX_VERTICES keep
+    vertex order, and `_abs_det` takes columns fewest holders first, as an
+    order costs them more than it saves (BENCH_22.json).  The rest number
+    both in `_dissection_order`, which keeps the fill in each block and its
+    separator.  Every placement of a shape takes the same path.  `_abs_det`
+    pivots on a +-1 entry wherever one is left, so Bareiss runs only on a
+    small tail: n columns on ad(n) on every path, 27 of 2328 on r(96).
     """
     vs = g.vertices
     if 2 * sum((x + y) % 2 for x, y in vs) != len(vs):
@@ -348,11 +354,13 @@ def count_fkt(g: EmbeddedGraph) -> int:
     seen: dict[int, int] = {}  # row -> its vertices, less one
     for x, y in reversed(vs):
         right[x, y] = seen[y] = seen.get(y, -1) + 1
-    by_holders = not vs or len(vs) <= _HOLDERS_MAX_VERTICES and min(
-        vs[-1][0] - vs[0][0], max(seen) - min(seen)) + 1 >= _HOLDERS_MIN_SIDE
+    width, height = (vs[-1][0] - vs[0][0] + 1, max(seen) - min(seen) + 1) if vs else (0, 0)
+    thin = min(width, height) < _HOLDERS_MIN_SIDE
+    by_holders = not thin and len(vs) <= _HOLDERS_MAX_VERTICES
+    order = _band_order(vs, width, height) if thin else vs if by_holders else _dissection_order(list(vs))
     row: dict[Point, int] = {}  # even point -> its row
     col: dict[Point, int] = {}  # odd point -> its column
-    for p in vs if by_holders else _dissection_order(list(vs)):
+    for p in order:
         index = col if (p[0] + p[1]) % 2 else row
         index[p] = len(index)
     rows: list[dict[int, int]] = [{} for _ in row]

@@ -84,18 +84,25 @@ def aztec_diamond_value(n: int) -> int:
     return 1 << (n * (n + 1) // 2)
 
 
-def lemma4_value(m: int, n: int, a: tuple[int, ...]) -> int:
-    """Matching count of the rectangle graph keeping bottom positions a."""
-    check_index_set(a, m, n)
+def _lemma4(m: int, width: int, a: tuple[int, ...]) -> int:
+    """lemma4_value at any width, a being m positions in 1..width; orders are the caller's to check."""
+    check_index_set(a, m, width)
     factors = Counter(_differences(a))
     factors.subtract(Counter(_differences(range(1, m + 1))))
     return _as_int(_value(factors, m * (m + 1) // 2))
 
 
+def lemma4_value(m: int, n: int, a: tuple[int, ...]) -> int:
+    """Matching count of the rectangle graph keeping bottom positions a."""
+    _require_order(m, n)
+    return _lemma4(m, n, a)
+
+
 def lemma5_value(m: int, n: int, a: tuple[int, ...]) -> int:
     """Matching count of the bottomless rectangle graph with holes at a: lemma4's
     count at width n + 1 over 2^m, as the forms differ only in 2^(m(m+1)/2) vs 2^(m(m-1)/2)."""
-    return _as_int(Fraction(lemma4_value(m, n + 1, a), 1 << m))
+    _require_order(m, n)
+    return _as_int(Fraction(_lemma4(m, n + 1, a), 1 << m))
 
 
 def delta(s: tuple[int, ...]) -> int:

@@ -157,7 +157,7 @@ def _no_order(points):
 
 
 def test_empty_graph_has_one_matching(monkeypatch):
-    # the empty graph is small enough to pivot fewest-holders-first, with no order built
+    # the empty graph is one band with no points, so no order is built
     monkeypatch.setattr(eng, "_dissection_order", _no_order)
     assert count_fkt(EMPTY) == 1
     assert count(EMPTY) == 1
@@ -429,10 +429,14 @@ def holey_rectangles(draw, width, height):
     return cells - draw(st.frozensets(st.sampled_from(sorted(cells)), max_size=4))
 
 
-def _count_fkt_by(by_holders, g):
-    """count_fkt with its column source forced: fewest holders first, or the dissection order."""
+# (_HOLDERS_MAX_VERTICES, _HOLDERS_MIN_SIDE) that send every graph down one path
+_COLUMN_SOURCES = {"band": (10**9, 10**9), "holders": (10**9, 0), "dissection": (-1, 0)}
+
+
+def _count_fkt_by(source, g):
+    """count_fkt with its column source forced: one band, fewest holders first, or the dissection order."""
     saved = eng._HOLDERS_MAX_VERTICES, eng._HOLDERS_MIN_SIDE
-    eng._HOLDERS_MAX_VERTICES, eng._HOLDERS_MIN_SIDE = (10**9, 0) if by_holders else (-1, 0)
+    eng._HOLDERS_MAX_VERTICES, eng._HOLDERS_MIN_SIDE = _COLUMN_SOURCES[source]
     try:
         return count_fkt(g)
     finally:
@@ -453,21 +457,29 @@ def rings(draw):
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(holey_rectangles(6, 6).map(EmbeddedGraph.from_points), rings(), thinned_grids()))
 def test_both_column_sources_give_the_same_count(g):
-    by_holders = _count_fkt_by(True, g)
-    assert by_holders == _count_fkt_by(False, g)
+    counts = {_count_fkt_by(source, g) for source in _COLUMN_SOURCES}
+    assert len(counts) == 1
     if len(g.vertices) <= BRUTE_VERTEX_LIMIT:
-        assert by_holders == count_brute(g)
+        assert counts == {count_brute(g)}
+
+
+def _no_heap(holders):
+    raise AssertionError("_fewest_holders called")
 
 
 def test_the_rule_picks_the_column_source(monkeypatch):
     monkeypatch.setattr(eng, "_dissection_order", _no_order)
     # r(24), V = 300 on a 24 x 24 box: fewest holders first, no order built
     assert count_fkt(dual_graph(build_quartered(24, PINWHEEL))) == theorem1_value(PINWHEEL, 24)
-    # a 6 x 100 strip is small, but too thin; ad(22) is wide, but too large
-    strip = EmbeddedGraph.from_points([(i, j) for i in range(6) for j in range(100)])
-    assert len(strip.vertices) <= eng._HOLDERS_MAX_VERTICES
-    with pytest.raises(AssertionError, match="_dissection_order called"):
-        count_fkt(strip)
+    # a strip less than 20 wide is one band at any size: no order built and no heap,
+    # whether it is small (6 x 100) or large (8 x 300, turned a quarter so it runs along x)
+    monkeypatch.setattr(eng, "_fewest_holders", _no_heap)
+    small = EmbeddedGraph.from_points([(i, j) for i in range(6) for j in range(100)])
+    turned = EmbeddedGraph.from_points(map(moved(1), [(i, j) for i in range(8) for j in range(300)]))
+    assert len(small.vertices) <= eng._HOLDERS_MAX_VERTICES < len(turned.vertices)
+    for strip in (small, turned):
+        assert count_fkt(strip) == count_profile_dp(strip)
+    # ad(22) is wide, but too large
     large = dual_graph(build_aztec_diamond(22))
     assert len(large.vertices) > eng._HOLDERS_MAX_VERTICES
     with pytest.raises(AssertionError, match="_dissection_order called"):

@@ -27,6 +27,8 @@ from aztec_tilings.regions import (
     MAX_ORDER,
     PINWHEEL,
     QUARTER_KINDS,
+    build_holey_ar,
+    build_holey_ar_bar,
     build_quartered,
     set_A,
     set_B,
@@ -137,14 +139,14 @@ def _position_ratio(a):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(1, 24).flatmap(lambda n: st.tuples(st.just(n), st.sets(st.integers(1, n + 1)))))
+@given(st.integers(1, 24).flatmap(lambda n: st.tuples(st.just(n), st.sets(st.integers(1, n + 1), min_size=1))))
 def test_hole_formulas_match_position_ratio(case):
     n, holes = case
     a = tuple(sorted(holes))
     m = len(a)
     want = _position_ratio(a)
     assert lemma5_value(m, n, a) == 2 ** (m * (m - 1) // 2) * want
-    if not a or a[-1] <= n:
+    if a[-1] <= n:
         assert lemma4_value(m, n, a) == 2 ** (m * (m + 1) // 2) * want
 
 
@@ -179,13 +181,9 @@ def test_lemma5_raises_on_an_odd_lemma4_value(monkeypatch):
     # lemma5 is lemma4 over 2^m, so a remainder is a mismatch, never a floor
     from aztec_tilings import formulas
 
-    monkeypatch.setattr(formulas, "lemma4_value", lambda m, n, a: 2 ** (m * (m + 1) // 2) + 1)
+    monkeypatch.setattr(formulas, "_lemma4", lambda m, n, a: 2 ** (m * (m + 1) // 2) + 1)
     with pytest.raises(CountMismatchError):
         formulas.lemma5_value(2, 3, (1, 4))
-
-
-def test_hole_formulas_of_no_holes():
-    assert lemma4_value(0, 5, ()) == lemma5_value(0, 5, ()) == 1
 
 
 def test_theorem1_rejects_bad_order():
@@ -210,6 +208,25 @@ def test_closed_forms_refuse_what_the_builders_refuse(order):
         with pytest.raises(InvalidOrderError) as raised:
             closed_form(order)
         assert str(raised.value) == f"order must be in 1..{MAX_ORDER}, got {order!r}"
+
+
+# lemma4_value(3, 5.5, (1, 3, 5)) and lemma4_value(3, 400, (1, 3, 5)) once returned 512, and
+# lemma4_value(0, 5, ()) == lemma5_value(0, 5, ()) == 1 though no builder takes m = 0
+@pytest.mark.parametrize("m, n, a, bad", [(3, 5.5, (1, 3, 5), 5.5), (3, MAX_ORDER + 100, (1, 3, 5), MAX_ORDER + 100),
+                                          (3, 0, (1, 3, 5), 0), (3.0, 5, (1, 3, 5), 3.0),
+                                          (True, 5, (1,), True), (0, 5, (), 0)])
+def test_holey_closed_forms_refuse_what_the_builders_refuse(m, n, a, bad):
+    for gate in (lemma4_value, lemma5_value, build_holey_ar, build_holey_ar_bar):
+        with pytest.raises(InvalidOrderError) as raised:
+            gate(m, n, a)
+        assert str(raised.value) == f"order must be in 1..{MAX_ORDER}, got {bad!r}"
+
+
+def test_holey_closed_forms_take_every_order_the_builders_take():
+    # lemma5's positions run to n + 1, which passes MAX_ORDER at n = MAX_ORDER: only m and n are orders
+    for closed_form, builder, a in ((lemma4_value, build_holey_ar, (1, MAX_ORDER)),
+                                    (lemma5_value, build_holey_ar_bar, (1, MAX_ORDER + 1))):
+        assert closed_form(2, MAX_ORDER, a) == count(builder(2, MAX_ORDER, a))
 
 
 def test_diamond_values():
