@@ -2,8 +2,8 @@
 
 All engines return exact Python ints; no floating point enters any
 counting path.  `count_brute` is the definition-level oracle, the
-determinant method (division-free +-1 pivots, then Bareiss on the few
-columns left) counts every grid graph in polynomial time and is what
+determinant method (division-free +-1 pivots, then dense Bareiss on the
+few columns left) counts every grid graph in polynomial time and is what
 "auto" runs, and the broken-profile sweep, exponential only in the
 narrower side and bounded by a live-state budget, rechecks it.  Brute rechecks
 every graph within its own limit, BRUTE_VERTEX_LIMIT = 40 vertices; past it and
@@ -33,8 +33,6 @@ def count_brute(g: EmbeddedGraph) -> int:
     n = len(g.vertices)
     if n > BRUTE_VERTEX_LIMIT:
         raise TooLargeError(f"{n} vertices exceeds brute-force limit {BRUTE_VERTEX_LIMIT}")
-    if n == 0:
-        return 1
     if n % 2:
         return 0
     index = {p: i for i, p in enumerate(g.vertices)}
@@ -69,8 +67,6 @@ def count_profile_dp(g: EmbeddedGraph) -> int:
     vertex, and then it is the line scanned just before.
     More than PROFILE_STATE_LIMIT live states raises TooLargeError.
     """
-    if not g.vertices:
-        return 1
     pts = set(g.vertices)
     edge_set = set(g.edges)
     cols = sorted({x for x, _ in pts})
@@ -145,9 +141,11 @@ def _abs_det(rows: list[dict[int, int]], by_holders: bool = False) -> int:
     row p and the column then leave, taking a factor +-u.  `holders` changes
     only where an entry appears or cancels.  Every entry left is +- a minor of
     the input, as the pivots' block has det +-1.  Columns come in index order
-    or, by_holders, from `_fewest_holders`.  A column with no +-1 holder waits
-    for `_bareiss`, which takes them in index order; one with no holder at all
-    makes det 0.
+    or, by_holders, from `_fewest_holders`.  A column with no +-1 holder waits,
+    and one with no holder at all makes det 0.  Pivot rows end empty and all
+    others hold entries only in waiting columns, so the nonempty rows are the
+    tail for `_bareiss`, made dense with columns in index order; fewer of them
+    than waiting columns means a row cancelled to zero, so det 0.
     """
     holders: list[set[int]] = [set() for _ in rows]  # column -> rows with an entry
     for i, row in enumerate(rows):
@@ -186,57 +184,46 @@ def _abs_det(rows: list[dict[int, int]], by_holders: bool = False) -> int:
                     else:
                         del row[j]
                         holders[j].discard(i)
-    return _bareiss(rows, holders, sorted(waiting))
+    waiting.sort()
+    m = [[row.get(j, 0) for j in waiting] for row in rows if row]
+    return _bareiss(m) if len(m) == len(waiting) else 0
 
 
-def _bareiss(rows: list[dict[int, int]], holders: list[set[int]], columns: list[int]) -> int:
-    """|det| of the square block of `rows` on `columns`, which it consumes.
+def _exact(a: int, b: int) -> int:
+    """a / b, which must leave no remainder."""
+    q, r = divmod(a, b)
+    if r:
+        raise CountMismatchError("non-exact division in fraction-free elimination")
+    return q
 
-    holders[k] holds the rows with an entry in column k; no other row is read.
+
+def _bareiss(m: list[list[int]]) -> int:
+    """|det| of a dense square matrix, given as a list of rows, which it consumes.
+
     Fraction-free (Bareiss) elimination, column by column: column k's pivot
-    is the lowest remaining row with an entry there, and only rows with an
-    entry in column k are updated.  Other rows stay stale: s = stamp[i] is
-    the pivot row i was last scaled to, so its true entries are V = v*prev/s
-    and H = head*prev/s, and the Bareiss step (pivot*V - H*w) / prev is
+    is the lowest remaining row with a nonzero there, and only rows with a
+    nonzero head are updated.  Other rows stay stale: a row's stamp s is the
+    pivot it was last scaled to, so its true entries are V = v*prev/s and
+    H = head*prev/s, and the Bareiss step (pivot*V - H*w) / prev is
     (pivot*v - head*w) / s, exact since every true entry is a minor; a
-    remainder raises at once.  An updated row is rebuilt in one pass over its
-    entries, dropping those that cancel, then gains the fill -head*w / s (never
-    zero) in the pivot row's other columns.  |det| needs no pivot sign.
+    remainder raises at once.  |det| needs no pivot sign.
     """
-    stamp = [1] * len(rows)
+    stamps = [1] * len(m)
     prev = 1
-    for k in columns:
-        live = holders[k]
-        if not live:
+    for k in range(len(m)):
+        p = next((i for i, row in enumerate(m) if row[k]), None)
+        if p is None:
             return 0
-        p = min(live)
-        prow, s = rows[p], stamp[p]
-        for j in prow:  # live is holders[k], so p leaves it too
-            holders[j].discard(p)
-        if s != prev:  # else w*prev/s is w
-            for j, w in prow.items():
-                prow[j], r = divmod(w * prev, s)
-                if r:
-                    raise CountMismatchError("non-exact division in fraction-free elimination")
-        pivot = prow.pop(k)
-        for i in live:
-            row, s = rows[i], stamp[i]
-            rows[i] = new = {}
-            head = row.pop(k)
-            for j, v in row.items():
-                q, r = divmod(pivot * v - head * prow.get(j, 0), s)
-                if r:
-                    raise CountMismatchError("non-exact division in fraction-free elimination")
-                if q:
-                    new[j] = q
-                else:
-                    holders[j].discard(i)
-            for j in prow.keys() - row.keys():
-                new[j], r = divmod(-head * prow[j], s)
-                if r:
-                    raise CountMismatchError("non-exact division in fraction-free elimination")
-                holders[j].add(i)
-            stamp[i] = pivot
+        prow, s = m.pop(p)[k:], stamps.pop(p)
+        if s != prev:  # else w*prev/s is w; columns before k hold no minors
+            prow = [_exact(w * prev, s) for w in prow]
+        pivot, rest = prow[0], prow[1:]
+        for i, row in enumerate(m):
+            head = row[k]
+            if head:
+                s = stamps[i]
+                row[k + 1:] = [_exact(pivot * v - head * w, s) for v, w in zip(row[k + 1:], rest)]
+                stamps[i] = pivot
         prev = pivot
     return abs(prev)
 
@@ -289,10 +276,13 @@ def _dissection_order(points: list[Point]) -> list[Point]:
     an odd value next to the middle: that line's points are odd, so columns
     only, and no block runs short of rows for its pivots.  A block of at most
     64 points (a smaller one costs more to split than it saves) or at most
-    _LEAF_WIDTH wide (band order wins on such strips up to ~2000 long) is a
-    leaf in `_band_order`.  Blocks keep input order, so stay sorted, and wait
-    on a stack, not the call stack: a split only halves an extent, so blocks
-    can nest deeper than Python's recursion limit.
+    _LEAF_WIDTH wide is a leaf in `_band_order`.  No whole graph that thin
+    comes here, as `count_fkt` takes it as one band; the width rule keeps a
+    thin arm of a wider graph in band order, as dissecting a 4 x 600 arm on
+    a 40 x 40 grid cost up to 1.6x (BENCH_30.json).  Blocks keep input
+    order, so stay sorted, and wait on a stack, not the call stack: a split
+    only halves an extent, so blocks can nest deeper than Python's recursion
+    limit.
     """
     order: list[Point] = []  # built back to front
     stack = [points]
@@ -345,7 +335,7 @@ def count_fkt(g: EmbeddedGraph) -> int:
     both in `_dissection_order`, which keeps the fill in each block and its
     separator.  Every placement of a shape takes the same path.  `_abs_det`
     pivots on a +-1 entry wherever one is left, so Bareiss runs only on a
-    small tail: n columns on ad(n) on every path, 27 of 2328 on r(96).
+    small dense tail: n columns on ad(n) on every path, 27 of 2328 on r(96).
     """
     vs = g.vertices
     if 2 * sum((x + y) % 2 for x, y in vs) != len(vs):

@@ -159,8 +159,10 @@ def _no_order(points):
 def test_empty_graph_has_one_matching(monkeypatch):
     # the empty graph is one band with no points, so no order is built
     monkeypatch.setattr(eng, "_dissection_order", _no_order)
-    assert count_fkt(EMPTY) == 1
+    assert count_brute(EMPTY) == count_profile_dp(EMPTY) == count_fkt(EMPTY) == 1
     assert count(EMPTY) == 1
+    for engine in ("brute", "profile_dp", "fkt"):
+        assert count(EMPTY, engine=engine, crosscheck=True) == 1
 
 
 def test_fkt_imbalanced_returns_zero(monkeypatch):
@@ -178,9 +180,9 @@ def tail_sizes(monkeypatch):
     sizes = []
     bareiss = eng._bareiss
 
-    def recording(rows, holders, columns):
-        sizes.append(len(columns))
-        return bareiss(rows, holders, columns)
+    def recording(m):
+        sizes.append(len(m))
+        return bareiss(m)
 
     monkeypatch.setattr(eng, "_bareiss", recording)
     return sizes
@@ -270,20 +272,41 @@ def test_abs_det_matches_leibniz_on_sparse_matrices(tail_sizes):
     assert split > 100
 
 
+def _no_unit_matrix(rng, n):
+    m = [[rng.choice((0, 0, 2, -2, 3, -4)) for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        m[i][i] = rng.choice((2, -3, 4))
+    if n > 1 and rng.random() < 0.3:
+        a, b = rng.sample(range(n), 2)
+        m[a] = list(m[b])
+    return m
+
+
 def test_abs_det_without_unit_entries_runs_only_the_tail(tail_sizes):
     # No entry is +-1, so no column has a unit pivot and the whole matrix waits for Bareiss,
-    # unless a copied row left a column with no entry at all, which is det 0 at once.
+    # unless a copied row left a column with no entry at all, which is det 0 at once.  Then
+    # blocks on the diagonal, rows and columns shuffled: a column updates only its own
+    # block's rows, so the others go stale, and a stale row later pivots its own block.
     rng = random.Random(4711)
     for _ in range(200):
         n = rng.randint(1, 6)
-        m = [[rng.choice((0, 0, 2, -2, 3, -4)) for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            m[i][i] = rng.choice((2, -3, 4))
-        if n > 1 and rng.random() < 0.3:
-            a, b = rng.sample(range(n), 2)
-            m[a] = list(m[b])
+        m = _no_unit_matrix(rng, n)
         tail_sizes.clear()
         assert _abs_det(_sparse(m)) == abs(_leibniz_det(m))
+        assert tail_sizes == ([n] if all(any(col) for col in zip(*m)) else [])
+    for _ in range(100):
+        blocks = [_no_unit_matrix(rng, rng.randint(1, 4)) for _ in range(rng.randint(2, 3))]
+        n = sum(map(len, blocks))
+        rows, cols = rng.sample(range(n), n), rng.sample(range(n), n)
+        m = [[0] * n for _ in range(n)]
+        start = 0
+        for block in blocks:
+            for i, row in enumerate(block, start):
+                for j, v in enumerate(row, start):
+                    m[rows[i]][cols[j]] = v
+            start += len(block)
+        tail_sizes.clear()
+        assert _abs_det(_sparse(m)) == abs(math.prod(map(_leibniz_det, blocks)))
         assert tail_sizes == ([n] if all(any(col) for col in zip(*m)) else [])
 
 
@@ -312,23 +335,35 @@ def test_abs_det_column_emptied_by_the_unit_phase_is_zero(tail_sizes):
     assert tail_sizes == []
 
 
+def test_bareiss_matches_leibniz_on_dense_matrices():
+    # The kernel alone, on the dense rows it takes: zeros make a later row pivot and leave
+    # rows stale under a pivot other than 1, and a copied row makes det 0.
+    rng = random.Random(1968)
+    for _ in range(300):
+        n = rng.randint(0, 6)
+        m = [[rng.choice((0, 0, 0, 1, -1, 2, -3, 5)) for _ in range(n)] for _ in range(n)]
+        if n > 1 and rng.random() < 0.2:
+            a, b = rng.sample(range(n), 2)
+            m[a] = list(m[b])
+        assert _bareiss([list(row) for row in m]) == abs(_leibniz_det(m))
+
+
 @pytest.mark.parametrize(
-    "m, k, i",
+    "m",
     [
-        ([[2, -1, 2], [3, 0, 0], [3, -1, 0]], 1, 2),
-        ([[-2, 3, 2, 0], [1, 0, 0, 0], [0, 2, 3, 0], [3, 1, -2, 3]], 1, 3),
-        ([[3, 2, 0, 0], [3, 0, 1, 0], [1, 2, 2, 0], [1, 1, 1, 0]], 1, 2),
+        [[3, -2, 2, -1], [-2, 2, -2, 0], [-2, 3, 0, 0]],
+        [[0, -1, -1, 3, 0], [2, -1, 0, 3, 0], [3, 3, -1, 0, 3], [3, -2, 0, 3, -1]],
     ],
+    ids=["row-update", "pivot-rescale"],
 )
-def test_bareiss_raises_on_a_non_exact_division(m, k, i):
-    # Row i left out of holders[k] misses column k's update, so its entries and stamp go
-    # stale and a later division on it leaves a remainder.  The cases first trip, in turn,
-    # the checks on rescaling a pivot row, on updating a row and on filling one in.
-    rows = _sparse(m)
-    holders = [{r for r, row in enumerate(rows) if j in row} for j in range(len(m))]
-    holders[k].discard(i)
+def test_bareiss_raises_on_a_non_exact_division(m):
+    # The last row given twice makes det 0, and copies of it give 0.  Given as one list
+    # object, an update of either row updates both, so its entries stop being minors and a
+    # later division leaves a remainder: in the first case in a row update, in the second in
+    # rescaling a stale pivot row.  Either case, with only its own check dropped, raises nothing.
+    assert _bareiss([list(row) for row in [*m, m[-1]]]) == _leibniz_det([*m, m[-1]]) == 0
     with pytest.raises(CountMismatchError, match="non-exact division"):
-        _bareiss(rows, holders, list(range(len(m))))
+        _bareiss([list(row) for row in m[:-1]] + [list(m[-1])] * 2)
 
 
 # The unit squares inside [0, 4] x [0, 4] but some left out, extra unit steps that may
