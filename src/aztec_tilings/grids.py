@@ -94,6 +94,27 @@ class EmbeddedGraph:
         return g
 
     @classmethod
+    def _from_columns(cls, runs: Iterable[tuple[int, int, int]]) -> "EmbeddedGraph":
+        """The graph joining every unit pair of the points (x, y), lo <= y < hi, of int
+        runs (x, lo, hi), one per column, given with x strictly ascending.
+
+        Valid and full as built: columns come with x ascending, each run ascending
+        in y, so the points are sorted and distinct.  The unit pairs at p = (x, y)
+        are its up neighbour (x, y+1), there iff y+1 < hi, and its right neighbour
+        (x+1, y), there iff the next run is column x+1 and holds y.  Each is emitted
+        as (p, q) holding the vertex tuples: p ascends, and (x, y+1) < (x+1, y).
+        """
+        vs, es = [], []
+        cols = [(x, lo, [(x, y) for y in range(lo, hi)]) for x, lo, hi in runs if lo < hi]
+        for (x, lo, col), (nx, nlo, nxt) in zip(cols, cols[1:] + [(None, 0, [])]):
+            # col[k]'s up neighbour is col[k+1] and its right one rights[k]; None past either end.
+            rights = [None] * (nlo - lo) + nxt[max(lo - nlo, 0):] if nx == x + 1 else []
+            vs += col
+            es += filter(itemgetter(1), chain.from_iterable(
+                zip(zip(col, col[1:] + [None]), zip(col, rights + [None] * len(col)))))
+        return cls._trusted(tuple(vs), tuple(es), full=True)
+
+    @classmethod
     def from_points(
         cls,
         points: Iterable[Point],
@@ -184,7 +205,10 @@ class ReductionReport:
 
 
 def dual_graph(region: "Region") -> EmbeddedGraph:
-    """Graph with one vertex per cell and edges between side-sharing cells."""
+    """Graph with one vertex per cell and edges between side-sharing cells,
+    built from the column runs of a builder's region, through from_points otherwise."""
+    if region._runs is not None:
+        return EmbeddedGraph._from_columns(region._runs)
     return EmbeddedGraph.from_points(region.cells)
 
 

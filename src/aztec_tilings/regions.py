@@ -18,8 +18,8 @@ Coordinate conventions, fixed once and validated by tiling counts:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import InvalidHolesError, InvalidOrderError
 from .grids import EmbeddedGraph, dual_graph, isomorphic_embedded, json_int_pairs
@@ -33,7 +33,7 @@ QUARTER_KINDS = (PINWHEEL, KLEIN_ABUT, KLEIN_NONABUT)
 
 # Largest order any builder accepts: above 4*64 + 3 = 259, the largest quarter an
 # order-64 replay of the lemmas needs.  On one core of a 2-core VM, ad(300) and its
-# dual build in about 1 s and 115 MB; ad(400) took 3.8 s and 321 MB.
+# dual build in about 0.15 s and 83 MB; ad(400) took 3.8 s and 321 MB through from_points.
 MAX_ORDER = 300
 
 
@@ -43,6 +43,9 @@ class Region:
 
     cells: frozenset[Cell]
     name: str = ""
+    # Set by the builders alone: the cells as column runs (i, lo, hi), for dual_graph.  Not
+    # part of ==, hash, repr or JSON, so a region made any other way has none.
+    _runs: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.cells)
@@ -82,11 +85,17 @@ _QUARTER_KEEPS = {
 }
 
 
+def _from_runs(runs: tuple[tuple[int, int, int], ...], name: str) -> Region:
+    # The region of cells (i, j), lo <= j < hi, of runs (i, lo, hi), i ascending, keeping its runs.
+    region = Region(cells=frozenset((i, j) for i, lo, hi in runs for j in range(lo, hi)), name=name)
+    object.__setattr__(region, "_runs", runs)
+    return region
+
+
 def build_aztec_diamond(n: int) -> Region:
     """Diamond of order n: cells whose corners (x, y) all satisfy |x|+|y| <= n+1."""
     _require_order(n)
-    cells = frozenset((i, j) for i, rest in _columns(n) for j in range(-rest, rest))
-    return Region(cells=cells, name=f"ad({n})")
+    return _from_runs(tuple((i, -rest, rest) for i, rest in _columns(n)), f"ad({n})")
 
 
 def build_quartered(n: int, kind: str) -> Region:
@@ -95,8 +104,7 @@ def build_quartered(n: int, kind: str) -> Region:
     bounds = _QUARTER_KEEPS.get(kind)
     if bounds is None:
         raise ValueError(f"unknown quarter kind {kind!r}")
-    cells = frozenset((i, j) for i, rest in _columns(n) for j in range(*bounds(i, rest)))
-    return Region(cells=cells, name=f"{kind}({n})")
+    return _from_runs(tuple((i, *bounds(i, rest)) for i, rest in _columns(n)), f"{kind}({n})")
 
 
 def congruent(r1: Region, r2: Region) -> bool:
@@ -120,16 +128,14 @@ def set_B(n: int) -> tuple[int, ...]:
     return tuple(range(2, 2 * n + 1, 2)) + tuple(range(2 * n + 1, 4 * n, 2))
 
 
-def _ar_points(m: int, n: int) -> set[tuple[int, int]]:
-    # White squares of a (2m+1) x (2n+1) board with black corners, sent to
-    # rotated grid coordinates so diagonal adjacency becomes orthogonal:
-    # board (column c, row r) -> (a, b) = ((c+r-1)/2, (r-c+2n+1)/2).
-    pts = set()
-    for r in range(1, 2 * m + 2):
-        first = 1 if r % 2 == 0 else 2
-        for c in range(first, 2 * n + 2, 2):
-            pts.add(((c + r - 1) // 2, (r - c + 2 * n + 1) // 2))
-    return pts
+def _rectangle(m: int, n: int, bottom: Callable[[int], int]) -> EmbeddedGraph:
+    # The white squares of a (2m+1) x (2n+1) board with black corners, sent to rotated grid
+    # coordinates so diagonal adjacency becomes orthogonal: board (column c, row r) -> (a, b) =
+    # ((c+r-1)/2, (r-c+2n+1)/2).  With c = 2a+1-r, column a holds the rows r in
+    # [max(1, 2a-2n), min(2m+1, 2a)] at b = r-a+n, less those below row bottom(a).
+    return EmbeddedGraph._from_columns(
+        (a, max(bottom(a), 2 * a - 2 * n) - a + n, min(2 * m + 1, 2 * a) - a + n + 1)
+        for a in range(1, m + n + 1))
 
 
 def bottom_row_points(n: int) -> list[tuple[int, int]]:
@@ -140,7 +146,7 @@ def bottom_row_points(n: int) -> list[tuple[int, int]]:
 def build_aztec_rectangle(m: int, n: int) -> EmbeddedGraph:
     """The m x n rectangle graph on white squares with diagonal adjacency."""
     _require_order(m, n)
-    return EmbeddedGraph.from_points(_ar_points(m, n))
+    return _rectangle(m, n, lambda a: 1)
 
 
 def check_index_set(values: tuple[int, ...], size: int, width: int) -> None:
@@ -154,25 +160,26 @@ def check_index_set(values: tuple[int, ...], size: int, width: int) -> None:
 
 
 def _holey_rectangle(m: int, n: int, positions: Iterable[int], width: int,
-                     holes: Callable[[tuple[int, ...]], set[tuple[int, int]]]) -> EmbeddedGraph:
-    """The m x n rectangle less holes(positions); its orders, then its positions, are checked first."""
+                     listed: int, other: int) -> EmbeddedGraph:
+    """The m x n rectangle, column a starting at board row listed if a is one of the
+    positions and at other if not; its orders, then its positions, are checked first."""
     _require_order(m, n)
     positions = tuple(positions)
     check_index_set(positions, m, width)
-    return EmbeddedGraph.from_points(_ar_points(m, n) - holes(positions))
+    # Position k of board row 1 (1..n) and of row 2 (1..n+1) is in column k, on its two
+    # lowest rows, so either builder's holes cut only the low end of a column.
+    chosen = set(positions)
+    return _rectangle(m, n, lambda a: listed if a in chosen else other)
 
 
 def build_holey_ar(m: int, n: int, keep: Iterable[int]) -> EmbeddedGraph:
     """Rectangle graph with the bottom row removed except at m kept positions."""
-    return _holey_rectangle(m, n, keep, n, lambda kept: {
-        p for pos, p in enumerate(bottom_row_points(n), 1) if pos not in kept})
+    return _holey_rectangle(m, n, keep, n, 1, 2)
 
 
 def build_holey_ar_bar(m: int, n: int, remove: Iterable[int]) -> EmbeddedGraph:
     """Rectangle graph minus its whole bottom row, then m more holes above it."""
-    # (k, n + 2 - k) is position k of the next row up, 1..n+1 left to right
-    return _holey_rectangle(m, n, remove, n + 1, lambda removed: {
-        *bottom_row_points(n), *((k, n + 2 - k) for k in removed)})
+    return _holey_rectangle(m, n, remove, n + 1, 3, 2)
 
 
 def _require_order(*orders: int) -> None:

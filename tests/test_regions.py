@@ -1,3 +1,4 @@
+import dataclasses
 from itertools import combinations
 
 import pytest
@@ -5,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aztec_tilings.errors import InvalidHolesError, InvalidOrderError
-from aztec_tilings.grids import LATTICE_SYMMETRIES, dual_graph, induced_subgraph
+from aztec_tilings.grids import (LATTICE_SYMMETRIES, EmbeddedGraph, dual_graph, induced_subgraph,
+                                 isomorphic_embedded)
 from aztec_tilings.engines import count, count_brute
 from aztec_tilings.formulas import lemma4_value, lemma5_value
 from aztec_tilings.regions import (
@@ -337,3 +339,74 @@ def test_region_json_round_trip():
 def test_quarter_cells_inside_diamond(kind):
     for n in (1, 4, 9):
         assert build_quartered(n, kind).cells <= build_aztec_diamond(n).cells
+
+
+def _same_as_from_points(g, points):
+    """g, built from column runs, is from_points' graph on points, marked full and valid."""
+    ref = EmbeddedGraph.from_points(points)
+    assert (g.vertices, g.edges) == (ref.vertices, ref.edges)
+    assert g.full
+    assert EmbeddedGraph(vertices=g.vertices, edges=g.edges) == g
+
+
+def _board_points(m, n):
+    # Reference: the white squares (c + r odd) of the (2m+1) x (2n+1) board with black
+    # corners, board (column c, row r) -> (a, b) = ((c+r-1)/2, (r-c+2n+1)/2).
+    return {((c + r - 1) // 2, (r - c + 2 * n + 1) // 2)
+            for r in range(1, 2 * m + 2) for c in range(1, 2 * n + 2) if (c + r) % 2}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 40), st.sampled_from((None, *QUARTER_KINDS)))
+def test_builder_regions_give_the_graph_from_points_gives(n, kind):
+    region = build_aztec_diamond(n) if kind is None else build_quartered(n, kind)
+    _same_as_from_points(dual_graph(region), region.cells)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_rectangles_are_the_board_points_less_their_holes(data):
+    n = data.draw(st.integers(1, 30))
+    m = data.draw(st.integers(1, n))
+    keep = sorted(data.draw(st.permutations(range(1, n + 1)))[:m])
+    remove = sorted(data.draw(st.permutations(range(1, n + 2)))[:m])
+    board, bottom = _board_points(m, n), bottom_row_points(n)
+    _same_as_from_points(build_aztec_rectangle(m, n), board)
+    _same_as_from_points(build_holey_ar(m, n, keep),
+                         board - {p for k, p in enumerate(bottom, 1) if k not in keep})
+    # (k, n + 2 - k) is position k of board row 2, 1..n+1 left to right
+    _same_as_from_points(build_holey_ar_bar(m, n, remove),
+                         board - {*bottom, *((k, n + 2 - k) for k in remove)})
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 3), st.integers(-4, 4), st.integers(0, 5)), max_size=8))
+def test_any_column_runs_give_the_graph_from_points_gives(steps):
+    # Runs (x, lo, lo + length) with x rising by 1 to 3, so columns may be empty or far apart.
+    runs, x = [], 0
+    for step, lo, length in steps:
+        x += step
+        runs.append((x, lo, lo + length))
+    _same_as_from_points(EmbeddedGraph._from_columns(runs),
+                         [(x, y) for x, lo, hi in runs for y in range(lo, hi)])
+
+
+def test_column_runs_stay_private(monkeypatch):
+    built = build_quartered(12, KLEIN_ABUT)
+    g = dual_graph(built)
+    plain = Region(cells=built.cells, name=built.name)
+    assert built._runs is not None
+    assert plain == built and hash(plain) == hash(built) and repr(plain) == repr(built)
+    assert "_runs" not in repr(built) and plain.to_json_dict() == built.to_json_dict()
+    moved = Region(cells=_move_cells(built.cells, 3, 5, -7), name=built.name)
+
+    def refuse(cls, runs):
+        raise AssertionError("only a builder's region is built from column runs")
+
+    monkeypatch.setattr(EmbeddedGraph, "_from_columns", classmethod(refuse))
+    renamed = dataclasses.replace(built, name="renamed")
+    for other in (Region.from_json_dict(built.to_json_dict()), plain, renamed):
+        assert other._runs is None and dual_graph(other) == g
+    assert moved._runs is None and isomorphic_embedded(dual_graph(moved), g)
+    with pytest.raises(AssertionError, match="only a builder's region"):
+        dual_graph(built)
