@@ -47,7 +47,6 @@ from .regions import (
     build_holey_ar,
     build_holey_ar_bar,
     build_quartered,
-    congruent,
     set_A,
     set_B,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "build_holey_ar",
     "build_holey_ar_bar",
     "build_quartered",
-    "congruent",
     "count",
     "count_brute",
     "count_fkt",

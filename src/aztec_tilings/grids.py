@@ -38,8 +38,13 @@ LATTICE_SYMMETRIES = (
 _SIGN_SWAP = tuple((True, s(0, 1)[0], s(1, 0)[1]) if s(1, 0)[0] == 0 else (False, s(1, 0)[0], s(0, 1)[1])
                    for s in LATTICE_SYMMETRIES)
 
-# An edge (p, q) steps from its smaller point p to q by one of these.
-_UNIT_STEPS = {(1, 0), (0, 1)}
+
+def _unit_step(edge: PointPair) -> PointPair:
+    """edge (p, q), once checked to step from p to q by (1, 0) or (0, 1)."""
+    p, q = edge
+    if (q[0] - p[0], q[1] - p[1]) not in {(1, 0), (0, 1)}:
+        raise ValueError(f"edge {p}-{q} is not a unit step from its smaller point")
+    return edge
 
 
 def _int_points(points: Iterable[Point]) -> Iterator[Point]:
@@ -81,8 +86,7 @@ class EmbeddedGraph:
         for p, q in es:
             if p not in points or q not in points:
                 raise ValueError(f"edge endpoint {p}-{q} is not a vertex")
-            if (q[0] - p[0], q[1] - p[1]) not in _UNIT_STEPS:
-                raise ValueError(f"edge {p}-{q} is not a unit step from its smaller point")
+            _unit_step((p, q))
 
     @classmethod
     def _trusted(cls, vertices: tuple[Point, ...], edges: tuple[PointPair, ...],
@@ -141,7 +145,9 @@ class EmbeddedGraph:
             if p is None or q is None:
                 raise ValueError(f"edge endpoint {a}-{b} is not a vertex")
             es.add((p, q) if p < q else (q, p))
-        return cls(vertices=vs, edges=tuple(sorted(es)))
+        # Distinct int points, sorted; edges of two vertex tuples, smaller point first, sorted,
+        # distinct, each a unit step.  So the graph is valid as built; nothing proves it full.
+        return cls._trusted(vs, tuple(map(_unit_step, sorted(es))), full=False)
 
     def __len__(self) -> int:
         return len(self.vertices)

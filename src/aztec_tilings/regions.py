@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import InvalidHolesError, InvalidOrderError
-from .grids import EmbeddedGraph, dual_graph, isomorphic_embedded, json_int_pairs
+from .grids import EmbeddedGraph, json_int_pairs
 
 Cell = tuple[int, int]
 
@@ -107,15 +107,6 @@ def build_quartered(n: int, kind: str) -> Region:
     return _from_runs(tuple((i, *bounds(i, rest)) for i, rest in _columns(n)), f"{kind}({n})")
 
 
-def congruent(r1: Region, r2: Region) -> bool:
-    """True iff some lattice symmetry plus translation maps r1's cells onto r2's.
-
-    A dual graph has every side-sharing pair of cells as an edge, so a map
-    carries one region onto the other exactly when it carries the duals.
-    """
-    return isomorphic_embedded(dual_graph(r1), dual_graph(r2))
-
-
 def set_A(n: int) -> tuple[int, ...]:
     """Odd positions 1..2n-1 followed by even positions 2n+2..4n."""
     _require_order(n)
@@ -136,11 +127,6 @@ def _rectangle(m: int, n: int, bottom: Callable[[int], int]) -> EmbeddedGraph:
     return EmbeddedGraph._from_columns(
         (a, max(bottom(a), 2 * a - 2 * n) - a + n, min(2 * m + 1, 2 * a) - a + n + 1)
         for a in range(1, m + n + 1))
-
-
-def bottom_row_points(n: int) -> list[tuple[int, int]]:
-    """Rotated coordinates of the bottom board row, positions 1..n left to right."""
-    return [(k, n + 1 - k) for k in range(1, n + 1)]
 
 
 def build_aztec_rectangle(m: int, n: int) -> EmbeddedGraph:

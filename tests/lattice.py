@@ -1,4 +1,4 @@
-"""Placements of points and graphs on the square lattice, shared by the tests."""
+"""Placements of points and graphs on the square lattice, and rectangle board rows, for the tests."""
 
 from aztec_tilings.grids import LATTICE_SYMMETRIES, EmbeddedGraph
 
@@ -18,3 +18,8 @@ def placed(g, k, dx, dy):
     """g moved by LATTICE_SYMMETRIES[k], then translated by (dx, dy)."""
     move = moved(k, dx, dy)
     return EmbeddedGraph.from_points(map(move, g.vertices), [(move(p), move(q)) for p, q in g.edges])
+
+
+def bottom_row_points(n):
+    """Rotated coordinates of the rectangle's bottom board row, positions 1..n left to right."""
+    return [(k, n + 1 - k) for k in range(1, n + 1)]

@@ -168,6 +168,9 @@ def test_a_closed_stdout_exits_neither_0_nor_1_and_prints_no_traceback():
         ({"vertices": [[0, 0], [0, 0], [1, 0]], "edges": [[0, 2]]}, ()),
         ({"cells": [[0, 0], [0, 0], [1, 0]]}, ()),
         ({"vertices": [[0, 0], [1, 0]], "edges": [[0, 1], [0, 1]]}, ()),
+        # edges that are not unit steps: a diagonal, and a step of length 2
+        ({"vertices": [[0, 0], [1, 1]], "edges": [[0, 1]]}, ()),
+        ({"vertices": [[0, 0], [2, 0]], "edges": [[0, 1]]}, ()),
     ],
 )
 def test_bad_graph_input_exits_2(payload, extra):

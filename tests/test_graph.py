@@ -106,6 +106,36 @@ def test_from_points_puts_the_vertex_tuples_into_the_edges():
         assert g.edges and all(id(p) in ids for e in g.edges for p in e)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_from_points_checks_a_pairs_list_once_as_the_constructor_would(data):
+    # Points in a 5x5 box, some repeated.  Pairs among them: unit pairs either way round,
+    # some repeated, and in about half the lists any two points (a point with itself too).
+    points = data.draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                                min_size=1, max_size=25))
+    units = EmbeddedGraph.from_points(points).edges
+    kinds = [st.sampled_from(units + tuple(e[::-1] for e in units))] if units else []
+    if data.draw(st.booleans()) or not units:
+        kinds.append(st.tuples(st.sampled_from(points), st.sampled_from(points)))
+    pairs = data.draw(st.lists(st.one_of(kinds), max_size=30))
+    vertices = tuple(sorted(set(points)))
+    edges = tuple(sorted({(p, q) if p < q else (q, p) for p, q in pairs}))
+    if all(abs(p[0] - q[0]) + abs(p[1] - q[1]) == 1 for p, q in pairs):
+        g = EmbeddedGraph.from_points(points, pairs)
+        assert (g.vertices, g.edges) == (vertices, edges)
+        assert g == EmbeddedGraph(vertices=g.vertices, edges=g.edges) and not g.full
+        ids = {id(p) for p in g.vertices}
+        assert all(id(p) in ids for e in g.edges for p in e)
+        assert EmbeddedGraph.from_json_dict(g.to_json_dict()) == g
+        return
+    with pytest.raises(ValueError) as oracle:
+        EmbeddedGraph(vertices=vertices, edges=edges)
+    with pytest.raises(ValueError) as raised:
+        EmbeddedGraph.from_points(points, pairs)
+    assert str(raised.value) == str(oracle.value)
+    assert str(raised.value).endswith("is not a unit step from its smaller point")
+
+
 def test_graph_json_round_trip():
     g = dual_graph(build_quartered(5, KLEIN_ABUT))
     data = g.to_json_dict()

@@ -22,11 +22,11 @@ from aztec_tilings.regions import (
     build_holey_ar,
     build_holey_ar_bar,
     build_quartered,
-    bottom_row_points,
-    congruent,
     set_A,
     set_B,
 )
+
+from lattice import bottom_row_points
 
 
 def _side_doubled(p, q):
@@ -171,25 +171,30 @@ def test_quarter_cardinalities(n):
     assert len(build_quartered(n, KLEIN_NONABUT)) == half - skew
 
 
+# Regions are congruent (a lattice symmetry plus a translation maps one's cells onto the
+# other's) iff their dual graphs are isomorphic_embedded: a dual graph has every
+# side-sharing pair of cells as an edge, so a map carries the cells iff it carries the duals.
 def test_congruent_rotated_pinwheel_quarter():
     r4 = build_quartered(4, PINWHEEL)
     rotated = Region(cells=rotate_cells_90(r4.cells), name="rot")
-    assert congruent(r4, rotated)
+    assert isomorphic_embedded(dual_graph(r4), dual_graph(rotated))
 
 
 def test_congruent_translated_block():
     ka3 = build_quartered(3, KLEIN_ABUT)
     block = Region(cells=frozenset((i + 11, j - 7) for i in range(3) for j in range(2)))
-    assert congruent(ka3, block)
+    assert isomorphic_embedded(dual_graph(ka3), dual_graph(block))
 
 
 def test_not_congruent_pinwheel_vs_nonabutting():
-    assert not congruent(build_quartered(4, PINWHEEL), build_quartered(4, KLEIN_NONABUT))
+    assert not isomorphic_embedded(dual_graph(build_quartered(4, PINWHEEL)),
+                                   dual_graph(build_quartered(4, KLEIN_NONABUT)))
 
 
 @pytest.mark.parametrize("n", range(2, 11))
 def test_klein_kinds_not_congruent(n):
-    assert not congruent(build_quartered(n, KLEIN_ABUT), build_quartered(n, KLEIN_NONABUT))
+    assert not isomorphic_embedded(dual_graph(build_quartered(n, KLEIN_ABUT)),
+                                   dual_graph(build_quartered(n, KLEIN_NONABUT)))
 
 
 def test_all_pinwheel_quarters_congruent():
@@ -197,7 +202,7 @@ def test_all_pinwheel_quarters_congruent():
     cells = r5.cells
     for _ in range(3):
         cells = rotate_cells_90(cells)
-        assert congruent(r5, Region(cells=cells))
+        assert isomorphic_embedded(dual_graph(r5), dual_graph(Region(cells=cells)))
 
 
 cells_4x4 = st.frozensets(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=16)
@@ -234,7 +239,8 @@ def test_congruent_matches_cell_maps(cells, other, placed, k, dx, dy):
     if placed:
         other = _move_cells(cells, k, dx, dy)
     expected = _cells_congruent(cells, other)
-    assert congruent(Region(cells=cells), Region(cells=other)) == expected
+    a, b = dual_graph(Region(cells=cells)), dual_graph(Region(cells=other))
+    assert isomorphic_embedded(a, b) == expected
     assert expected or not placed
 
 
