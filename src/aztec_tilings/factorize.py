@@ -48,10 +48,10 @@ class FactorizationResult:
 
 
 def _axis_if_valid(g: EmbeddedGraph, slope: int) -> DiagonalAxis | None:
-    # The reflection in y = x + c is the swap (x, y) -> (y - c, x + c), and the one in
-    # x + y = c is (x, y) -> (c - y, c - x).  Mapping g onto itself, either one maps
-    # the leftmost column onto the lowest row, which fixes c.  The empty graph has no axis.
-    if not g.vertices or not next(_maps_onto(g, g, [(True, slope, slope)])):
+    # The reflection in y = x + c is the swap (x, y) -> (y - c, x + c), and the one in x + y = c
+    # is (x, y) -> (c - y, c - x).  Mapping g onto itself, either one maps the leftmost column
+    # onto the lowest row, which fixes c.  No slope but +1 or -1, and no empty graph, has an axis.
+    if slope not in (SLOPE_UP, SLOPE_DOWN) or not g.vertices or not _maps_onto(g, g, [(True, slope, slope)]):
         return None
     xs, ys = _coords(g.vertices)
     c = min(ys) - xs[0] if slope == SLOPE_UP else min(ys) + xs[-1]
@@ -86,11 +86,8 @@ def apply_factorization(g: EmbeddedGraph, axis: DiagonalAxis) -> FactorizationRe
     """
     if axis.found_on is not g and _axis_if_valid(g, axis.slope) != axis:
         raise FactorizationError("axis is not a valid symmetry axis for this graph")
-    c = axis.offset
-    if axis.slope == SLOPE_UP:
-        plus_pts = {p for p in g.vertices if p[1] - p[0] > c}
-    else:
-        plus_pts = {p for p in g.vertices if p[0] + p[1] > c}
+    c, slope = axis.offset, axis.slope
+    plus_pts = {p for p in g.vertices if p[1] - slope * p[0] > c}
     plus_pts.update(axis.on_axis[::2])
     return FactorizationResult(
         g_plus=induced_subgraph(g, plus_pts),

@@ -16,7 +16,8 @@ from itertools import combinations, starmap
 from operator import sub
 
 from .errors import CountMismatchError, InvalidHolesError
-from .regions import KLEIN_ABUT, KLEIN_NONABUT, PINWHEEL, _require_order, check_index_set, set_A, set_B
+from .regions import (KLEIN_ABUT, KLEIN_NONABUT, PINWHEEL, _require_kind, _require_order, check_index_set,
+                      set_A, set_B)
 
 
 def _product(factors: list[int]) -> int:
@@ -65,17 +66,15 @@ _THEOREM1 = {
 def theorem1_value(kind: str, order: int) -> int:
     """Closed-form tiling count of a quartered diamond of the given order."""
     _require_order(order)
-    parity = order % 2
-    if (kind, parity) not in _THEOREM1:
-        raise ValueError(f"unknown quarter kind {kind!r}")
+    _require_kind(kind)
     if kind == PINWHEEL and order % 4 in (1, 2):
         return 0
-    c, shift, strict = _THEOREM1[kind, parity]
+    c, shift, strict = _THEOREM1[kind, order % 2]
     n = (order + c) // 4
     sums = Counter(i + j for i in range(1, n + 1) for j in range(i + 1 if strict else i, n + 1))
     factors = Counter({2 * t + shift: e for t, e in sums.items()})
     factors.subtract({t - 1: e for t, e in sums.items()})
-    return _as_int(_value(factors, n * (3 * n - 1 - 2 * parity) // 2))
+    return _as_int(_value(factors, n * (3 * n - 1 - 2 * (order % 2)) // 2))
 
 
 def aztec_diamond_value(n: int) -> int:

@@ -9,7 +9,6 @@ pairs, e.g. in a graph read from JSON).
 from __future__ import annotations
 
 import heapq
-from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import add, itemgetter, lt
@@ -304,51 +303,42 @@ def normalize(g: EmbeddedGraph) -> EmbeddedGraph:
 
 
 def _maps_onto(g1: EmbeddedGraph, g2: EmbeddedGraph,
-               symmetries: Iterable[tuple[bool, int, int]]) -> Iterator[bool]:
-    """For each (swap, sx, sy) in turn, whether it maps g1 onto g2 when shifted so
-    that their bounding boxes meet; the graphs have equal vertex and edge counts."""
+               symmetries: Iterable[tuple[bool, int, int]]) -> bool:
+    """Whether some (swap, sx, sy) maps g1 onto g2 when shifted so that their bounding
+    boxes meet; the graphs have equal vertex and edge counts."""
     xs, ys = _coords(g1.vertices)
-    axes = ((xs, Counter(xs)), (ys, Counter(ys)))
-    want = [c for _, c in axes] if g2 is g1 else list(map(Counter, _coords(g2.vertices)))
-    points = full = None
+    axes = (xs, (xs[0], xs[-1])), (ys, (min(ys), max(ys)))  # each axis and its ends; xs is sorted
+    lows = g2.vertices[0][0], (axes[1][1][0] if g2 is g1 else min(map(itemgetter(1), g2.vertices)))
+    points, full = set(g2.vertices), None
     for swap, sx, sy in symmetries:
-        (us, u_counts), (vs, v_counts) = axes[::-1] if swap else axes
-        u, v = _affine(u_counts, sx, min(want[0])), _affine(v_counts, sy, min(want[1]))
-        if ({u(c): n for c, n in u_counts.items()} != want[0]
-                or {v(c): n for c, n in v_counts.items()} != want[1]):
-            yield False
-            continue
-        points = points or set(g2.vertices)
-        if not points.issuperset(zip(map(u, us), map(v, vs))):
-            yield False
+        (us, u_ends), (vs, v_ends) = axes[::-1] if swap else axes
+        u, v = _affine(u_ends, sx, lows[0]), _affine(v_ends, sy, lows[1])
+        # Stops at the first vertex sent off g2: on Python 3.10, set.issuperset builds a set first.
+        if not all(map(points.__contains__, zip(map(u, us), map(v, vs)))):
             continue
         if full is None:
             full = g1.full or g2.full or _joins_all_unit_pairs(g1, xs, ys)
         if full:
-            yield True
-            continue
-        placed = dict(zip(g1.vertices, zip(map(u, us), map(v, vs))))
-        pairs = set(g2.edges)
-        yield all((placed[p], placed[q]) in pairs or (placed[q], placed[p]) in pairs
-                  for p, q in g1.edges)
+            return True
+        placed, pairs = dict(zip(g1.vertices, zip(map(u, us), map(v, vs)))), set(g2.edges)
+        if all((placed[p], placed[q]) in pairs or (placed[q], placed[p]) in pairs for p, q in g1.edges):
+            return True
+    return False
 
 
 def isomorphic_embedded(g1: EmbeddedGraph, g2: EmbeddedGraph) -> bool:
     """True iff some lattice symmetry plus translation maps g1 exactly onto g2.
 
-    The answer is normalize(g1) == normalize(g2).  Such a map lines up the
-    bounding boxes, so each symmetry has one shift to try.  It carries g1's
-    per-column and per-row point counts onto g2's, so a symmetry whose counts
-    differ is rejected before any point moves.  It is injective, so with equal
-    vertex counts, sending each vertex of g1 into g2 makes it a bijection.
-    Its edges then need no check if either graph joins every two unit
-    neighbours.  If g1 does, the map carries its edges onto all such pairs
-    of g2, which has as many edges and so no others.  If g2 does, the map
-    carries each edge of g1, a unit pair, onto a unit pair of g2, which is
-    an edge; with as many edges on both sides, they correspond one to one.
-    A graph's full flag proves this without a count; otherwise g1's unit
-    pairs are counted once, and if some is missing each edge is checked.
+    The answer is normalize(g1) == normalize(g2).  Such a map lines up the bounding
+    boxes, so each symmetry has one shift to try, and is rejected at the first vertex
+    of g1 it sends off g2.  It is injective, so with equal vertex counts, sending each
+    vertex of g1 into g2 makes it a bijection.  Its edges then need no check if either
+    graph joins every two unit neighbours.  If g1 does, the map carries its edges onto
+    all such pairs of g2, which has as many edges and so no others.  If g2 does, the
+    map carries each edge of g1, a unit pair, onto a unit pair of g2, which is an edge;
+    with as many edges on both sides, they correspond one to one.  A graph's full flag
+    proves this without a count; otherwise g1's unit pairs are counted once, and if
+    some is missing each edge is checked.
     """
-    if len(g1.vertices) != len(g2.vertices) or len(g1.edges) != len(g2.edges):
-        return False
-    return not g1.vertices or any(_maps_onto(g1, g2, _SIGN_SWAP))
+    return (len(g1.vertices) == len(g2.vertices) and len(g1.edges) == len(g2.edges)
+            and (not g1.vertices or _maps_onto(g1, g2, _SIGN_SWAP)))

@@ -101,9 +101,8 @@ def build_aztec_diamond(n: int) -> Region:
 def build_quartered(n: int, kind: str) -> Region:
     """One quarter of the order-n diamond under the chosen two-cut division."""
     _require_order(n)
-    bounds = _QUARTER_KEEPS.get(kind)
-    if bounds is None:
-        raise ValueError(f"unknown quarter kind {kind!r}")
+    _require_kind(kind)
+    bounds = _QUARTER_KEEPS[kind]
     return _from_runs(tuple((i, *bounds(i, rest)) for i, rest in _columns(n)), f"{kind}({n})")
 
 
@@ -173,3 +172,9 @@ def _require_order(*orders: int) -> None:
     for n in orders:
         if type(n) is not int or not 1 <= n <= MAX_ORDER:
             raise InvalidOrderError(f"order must be in 1..{MAX_ORDER}, got {n!r}")
+
+
+def _require_kind(kind: str) -> None:
+    """The one quarter-kind check, for build_quartered and theorem1_value: one of QUARTER_KINDS."""
+    if kind not in QUARTER_KINDS:
+        raise ValueError(f"unknown quarter kind {kind!r}")

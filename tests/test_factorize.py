@@ -66,14 +66,6 @@ def test_no_axis_for_horizontal_domino():
     assert find_diagonal_axis(EmbeddedGraph.from_points([(0, 0), (1, 0)])) is None
 
 
-@pytest.mark.parametrize("slope", [1, -1])
-def test_axis_rejected_on_a_graph_with_none_of_its_slope(slope):
-    # a horizontal domino has no diagonal symmetry, so no axis of either slope fits it
-    foreign = DiagonalAxis(slope=slope, offset=0, on_axis=((0, 0),))
-    with pytest.raises(FactorizationError, match="not a valid symmetry axis"):
-        apply_factorization(EmbeddedGraph.from_points([(0, 0), (1, 0)]), foreign)
-
-
 def test_no_axis_when_only_the_vertices_are_symmetric():
     # the vertex set is symmetric about both diagonals, the edge set about neither
     g = EmbeddedGraph(vertices=FOUR_CYCLE.vertices, edges=FOUR_CYCLE.edges[1:])
@@ -183,6 +175,17 @@ def test_axis_rejected_on_a_graph_with_none_of_its_slope(slope):
     foreign = DiagonalAxis(slope=slope, offset=0, on_axis=((0, 0),))
     with pytest.raises(FactorizationError, match="not a valid symmetry axis"):
         apply_factorization(EmbeddedGraph.from_points([(0, 0), (1, 0)]), foreign)
+
+
+@pytest.mark.parametrize("slope", [2, 0, -2])
+def test_axis_of_another_slope_is_rejected(slope):
+    # the eq16 rectangle is symmetric about y = x; an axis by hand of another slope, with the
+    # offset and on-axis vertices of its anti-diagonal, is not one to cut along
+    g = build_holey_ar(2, 4, set_A(1))
+    c = min(y for _, y in g.vertices) + g.vertices[-1][0]
+    foreign = DiagonalAxis(slope=slope, offset=c, on_axis=tuple(p for p in g.vertices if sum(p) == c))
+    with pytest.raises(FactorizationError, match="not a valid symmetry axis"):
+        apply_factorization(g, foreign)
 
 
 @pytest.mark.parametrize("slope", [1, -1])

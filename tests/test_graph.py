@@ -1,7 +1,7 @@
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from aztec_tilings.engines import count_brute
@@ -482,6 +482,22 @@ def test_not_isomorphic_with_equal_row_and_column_counts():
     assert len(a.edges) == len(b.edges)
     assert normalize(a) != normalize(b)
     assert not isomorphic_embedded(a, b) and not isomorphic_embedded(b, a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.integers(0, 7), st.integers(-9, 9), st.integers(-9, 9))
+def test_isomorphic_embedded_on_full_graphs_with_one_point_moved(data, k, dx, dy):
+    # equal vertex and edge counts, often unequal row or column counts: each symmetry
+    # is decided by where it sends the vertices, and both graphs are marked full
+    points = data.draw(st.frozensets(st.sampled_from(sorted(BOARD_5x5)), min_size=1, max_size=24))
+    old = data.draw(st.sampled_from(sorted(points)))
+    new = data.draw(st.sampled_from(sorted(BOARD_5x5 - points)))
+    a = EmbeddedGraph.from_points(points)
+    b = EmbeddedGraph.from_points(map(moved(k, dx, dy), points - {old} | {new}))
+    assume(len(a.edges) == len(b.edges))
+    assert a.full and b.full
+    assert isomorphic_embedded(a, b) == (normalize(a) == normalize(b))
+    assert isomorphic_embedded(b, a) == (normalize(a) == normalize(b))
 
 
 def joins_every_unit_pair(g):

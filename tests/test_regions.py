@@ -1,4 +1,5 @@
 import dataclasses
+import re
 from itertools import combinations
 
 import pytest
@@ -9,7 +10,7 @@ from aztec_tilings.errors import InvalidHolesError, InvalidOrderError
 from aztec_tilings.grids import (LATTICE_SYMMETRIES, EmbeddedGraph, dual_graph, induced_subgraph,
                                  isomorphic_embedded)
 from aztec_tilings.engines import count, count_brute
-from aztec_tilings.formulas import lemma4_value, lemma5_value
+from aztec_tilings.formulas import lemma4_value, lemma5_value, theorem1_value
 from aztec_tilings.regions import (
     KLEIN_ABUT,
     KLEIN_NONABUT,
@@ -416,3 +417,12 @@ def test_column_runs_stay_private(monkeypatch):
     assert moved._runs is None and isomorphic_embedded(dual_graph(moved), g)
     with pytest.raises(AssertionError, match="only a builder's region"):
         dual_graph(built)
+
+
+@pytest.mark.parametrize("kind", ["bogus", ["pinwheel"], None])
+@pytest.mark.parametrize("build", [lambda kind: build_quartered(3, kind), lambda kind: theorem1_value(kind, 3)],
+                         ids=["build_quartered", "theorem1_value"])
+def test_an_unknown_quarter_kind_is_refused_by_name(build, kind):
+    # a list is unhashable, yet it is refused as an unknown kind, not by a TypeError
+    with pytest.raises(ValueError, match=f"^unknown quarter kind {re.escape(repr(kind))}$"):
+        build(kind)
