@@ -5,8 +5,9 @@ import json
 
 import pytest
 
-from aztec_tilings import verify
-from aztec_tilings.regions import MAX_ORDER
+from aztec_tilings import engines, verify
+from aztec_tilings.grids import dual_graph
+from aztec_tilings.regions import MAX_ORDER, build_quartered
 
 
 def test_theorem1_suite_case_count():
@@ -201,3 +202,44 @@ def test_pretty_output_mentions_suite():
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError):
         verify.run_suite("lemma99")
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """The graphs handed to engines.count, in call order."""
+    graphs = []
+
+    def spy(g, *args, real=engines.count, **kwargs):
+        graphs.append(g)
+        return real(g, *args, **kwargs)
+
+    monkeypatch.setattr(engines, "count", spy)
+    return graphs
+
+
+@pytest.mark.parametrize("name,distinct", [("lemma4", 36), ("lemma5", 47)])
+def test_a_suite_counts_each_named_instance_once_per_run(name, distinct, counted):
+    # 81 cases each, on 36 and 47 distinct rectangles: a repeated draw is not counted again
+    for _ in range(2):  # the second run counts as many again: no count outlives its run
+        counted.clear()
+        report = verify.run_suite(name)
+        assert len(report.cases) == 81
+        assert len({c.case_id for c in report.cases}) == len(counted) == distinct
+
+
+def test_verify_all_counts_each_named_instance_once(counted):
+    # 281 calls when each case counted its own graphs; on one ledger theorem1's quarters
+    # serve lemma1-3, and lemma3's rectangles serve lemma4 and factorization
+    verify.run_all(12)
+    assert len(counted) == 144
+
+
+@pytest.mark.parametrize("name,max_n", [("lemma1", 2), ("lemma3", 2), ("lemma4", None),
+                                        ("lemma5", None)])
+def test_a_ledger_key_determines_its_count(name, max_n):
+    ledger = {}
+    assert verify._run(ledger, name, None, max_n).ok
+    assert ledger
+    for (builder, *args), value in ledger.items():
+        built = builder(*args)
+        assert engines.count(dual_graph(built) if builder is build_quartered else built) == value
