@@ -9,10 +9,11 @@ pairs, e.g. in a graph read from JSON).
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import add, itemgetter, lt
-from typing import Iterable, Iterator, Optional, TYPE_CHECKING
+from typing import Collection, Iterable, Iterator, Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:
     from .regions import Region
@@ -209,12 +210,37 @@ class ReductionReport:
     infeasible: bool
 
 
+def _column_runs(cells: Collection[Point]) -> Optional[list[tuple[int, int, int]]]:
+    """The cells as int runs (x, lo, hi), x ascending, column x holding lo <= y < hi; None if
+    a column has a gap or a cell repeats.  A cell that is not two ints raises as in from_points."""
+    if {*map(len, cells)} - {2}:
+        list(_int_points(cells))  # raises at the first cell that is not two ints
+    xs, ys = _coords(cells)
+    if {*map(type, xs), *map(type, ys)} - {int}:
+        list(_int_points(cells))  # raises at the first cell that is not two ints
+    # Key (x, y) as x*w + y, w wider than the span of y: the sorted keys run column by column,
+    # y ascending, so column x's c cells are c keys, one run iff the last is the first + c - 1.
+    w = max(ys, default=0) - min(ys, default=0) + 1
+    keys = sorted({*map(add, map(w.__mul__, xs), ys)})
+    if len(keys) < len(xs):
+        return None  # a repeated cell, which from_points merges
+    runs, end = [], 0
+    for x, c in sorted(Counter(xs).items()):
+        first, end = keys[end], end + c
+        if keys[end - 1] - first != c - 1:
+            return None
+        runs.append((x, first - x * w, first - x * w + c))
+    return runs
+
+
 def dual_graph(region: "Region") -> EmbeddedGraph:
-    """Graph with one vertex per cell and edges between side-sharing cells,
-    built from the column runs of a builder's region, through from_points otherwise."""
-    if region._runs is not None:
-        return EmbeddedGraph._from_columns(region._runs)
-    return EmbeddedGraph.from_points(region.cells)
+    """Graph with one vertex per cell and edges between side-sharing cells, built from column
+    runs: a builder's region hands over its own, any other has them read off its cells.  Only a
+    region with a split column (or a repeated cell) goes through from_points."""
+    runs = region._runs if region._runs is not None else _column_runs(region.cells)
+    if runs is None:
+        return EmbeddedGraph.from_points(region.cells)
+    return EmbeddedGraph._from_columns(runs)
 
 
 def reduce_forced(g: EmbeddedGraph) -> ReductionReport:

@@ -445,6 +445,29 @@ def test_outside_input_is_still_validated_with_the_same_message(build, message):
     assert str(raised.value) == message
 
 
+@pytest.mark.parametrize(
+    "cells",
+    [
+        {(0, 0), (0, True)},  # one column of two cells, if True were read as 1
+        {(0, 0), (0, 1.0)},
+        {(0, 0), (1.0, 0)},
+        {(False, 0), (1, 0)},
+        {(0, 0), (0, 1), (0, 2.5)},
+        {(0, 0), (0,)},
+        {(0, 0), (0, 1, 2)},
+    ],
+    ids=["bool_y", "float_y", "float_x", "bool_x", "float_off_the_run", "short_cell", "long_cell"],
+)
+def test_a_plain_region_with_a_float_bool_or_odd_length_cell_is_refused_as_from_points_refuses_it(cells):
+    # A plain region has no stored runs, so dual_graph reads its cells itself.
+    region = Region(cells=frozenset(cells))
+    with pytest.raises(ValueError) as got:
+        dual_graph(region)
+    with pytest.raises(ValueError) as want:
+        EmbeddedGraph.from_points(region.cells)
+    assert str(got.value) == str(want.value)
+
+
 @settings(max_examples=300, deadline=None)
 @given(thinned_grid_graphs(), st.integers(0, 7), st.integers(-9, 9), st.integers(-9, 9),
        st.randoms(use_true_random=False))

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aztec_tilings.errors import InvalidHolesError, InvalidOrderError
-from aztec_tilings.grids import (LATTICE_SYMMETRIES, EmbeddedGraph, dual_graph, induced_subgraph,
-                                 isomorphic_embedded)
+from aztec_tilings.grids import (LATTICE_SYMMETRIES, EmbeddedGraph, _column_runs, dual_graph,
+                                 induced_subgraph, isomorphic_embedded)
 from aztec_tilings.engines import count, count_brute
 from aztec_tilings.formulas import lemma4_value, lemma5_value, theorem1_value
 from aztec_tilings.regions import (
@@ -398,6 +398,18 @@ def test_any_column_runs_give_the_graph_from_points_gives(steps):
                          [(x, y) for x, lo, hi in runs for y in range(lo, hi)])
 
 
+def _spy_on_from_columns(monkeypatch):
+    """A list that gets the runs of each later _from_columns call, which still builds the graph."""
+    taken, from_columns = [], EmbeddedGraph._from_columns
+
+    def spy(cls, runs):
+        taken.append(runs := list(runs))
+        return from_columns(runs)
+
+    monkeypatch.setattr(EmbeddedGraph, "_from_columns", classmethod(spy))
+    return taken
+
+
 def test_column_runs_stay_private(monkeypatch):
     built = build_quartered(12, KLEIN_ABUT)
     g = dual_graph(built)
@@ -406,17 +418,57 @@ def test_column_runs_stay_private(monkeypatch):
     assert plain == built and hash(plain) == hash(built) and repr(plain) == repr(built)
     assert "_runs" not in repr(built) and plain.to_json_dict() == built.to_json_dict()
     moved = Region(cells=_move_cells(built.cells, 3, 5, -7), name=built.name)
+    # Column i of a run lo..hi of at least 3 cells, less its cell at lo + 1, is split in two.
+    i, lo, _ = next(run for run in built._runs if run[2] - run[1] >= 3)
+    split = Region(cells=built.cells - {(i, lo + 1)})
 
-    def refuse(cls, runs):
-        raise AssertionError("only a builder's region is built from column runs")
-
-    monkeypatch.setattr(EmbeddedGraph, "_from_columns", classmethod(refuse))
+    taken = _spy_on_from_columns(monkeypatch)
     renamed = dataclasses.replace(built, name="renamed")
+    # Runs are read off the cells of a region that carries none, whoever made it.
     for other in (Region.from_json_dict(built.to_json_dict()), plain, renamed):
-        assert other._runs is None and dual_graph(other) == g
-    assert moved._runs is None and isomorphic_embedded(dual_graph(moved), g)
-    with pytest.raises(AssertionError, match="only a builder's region"):
-        dual_graph(built)
+        taken.clear()
+        assert other._runs is None and dual_graph(other) == g and len(taken) == 1
+    taken.clear()
+    assert moved._runs is None and dual_graph(moved) == EmbeddedGraph.from_points(moved.cells)
+    assert taken and isomorphic_embedded(dual_graph(moved), g)
+    taken.clear()
+    assert dual_graph(split) == EmbeddedGraph.from_points(split.cells) and taken == []
+
+
+# A column's cells: one run lo..lo+length, or any set of y, which may have gaps.
+_column = st.one_of(
+    st.builds(lambda lo, length: range(lo, lo + length), st.integers(-6, 6), st.integers(0, 5)),
+    st.frozensets(st.integers(-6, 6), max_size=5))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(-60, 60), st.lists(st.tuples(st.sampled_from((1, 2, 3, 1000)), _column), max_size=8))
+def test_any_region_gives_the_graph_from_points_gives(x, columns):
+    # Columns x rising by 1, 2, 3 or 1000 from a negative or positive start: some are empty,
+    # some far apart; no columns at all is the empty region.
+    cells, runs, split = set(), [], False
+    for step, ys in columns:
+        x += step
+        cells |= {(x, y) for y in ys}
+        if ys:
+            runs.append((x, min(ys), max(ys) + 1))
+            split |= max(ys) + 1 - min(ys) != len(ys)
+    assert _column_runs(frozenset(cells)) == (None if split else runs)
+    assert _column_runs(list(cells) * 2) == (None if cells else [])  # repeated cells
+    _same_as_from_points(dual_graph(Region(cells=frozenset(cells))), cells)
+
+
+@pytest.mark.parametrize("kind", [None, *QUARTER_KINDS])
+def test_every_placed_region_takes_the_runs_route(kind, monkeypatch):
+    taken = _spy_on_from_columns(monkeypatch)
+    for n in range(1, 41):
+        built = build_aztec_diamond(n) if kind is None else build_quartered(n, kind)
+        for k in range(len(LATTICE_SYMMETRIES)):
+            cells = _move_cells(built.cells, k, 2 * k - 7, 5 - 3 * k)
+            taken.clear()
+            g = dual_graph(Region(cells=cells))
+            assert len(taken) == 1, f"{built.name} moved by symmetry {k} has a split column"
+            assert g == EmbeddedGraph.from_points(cells) and g.full
 
 
 @pytest.mark.parametrize("kind", ["bogus", ["pinwheel"], None])
