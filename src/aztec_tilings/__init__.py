@@ -21,7 +21,6 @@ from .factorize import (
 )
 from .formulas import (
     aztec_diamond_value,
-    delta,
     lemma4_value,
     lemma5_value,
     lemma6_lhs,
@@ -33,7 +32,6 @@ from .grids import (
     ReductionReport,
     dual_graph,
     isomorphic_embedded,
-    normalize,
     reduce_forced,
 )
 from .regions import (
@@ -78,7 +76,6 @@ __all__ = [
     "count_brute",
     "count_fkt",
     "count_profile_dp",
-    "delta",
     "dual_graph",
     "find_diagonal_axis",
     "fkt_supported",
@@ -87,7 +84,6 @@ __all__ = [
     "lemma5_value",
     "lemma6_lhs",
     "lemma6_rhs",
-    "normalize",
     "reduce_forced",
     "run_all",
     "run_suite",

@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import combinations, starmap
 from operator import sub
 
-from .errors import CountMismatchError, InvalidHolesError
+from .errors import CountMismatchError
 from .regions import (KLEIN_ABUT, KLEIN_NONABUT, PINWHEEL, _require_kind, _require_order, check_index_set,
                       set_A, set_B)
 
@@ -102,13 +102,6 @@ def lemma5_value(m: int, n: int, a: tuple[int, ...]) -> int:
     count at width n + 1 over 2^m, as the forms differ only in 2^(m(m+1)/2) vs 2^(m(m-1)/2)."""
     _require_order(m, n)
     return _as_int(Fraction(_lemma4(m, n + 1, a), 1 << m))
-
-
-def delta(s: tuple[int, ...]) -> int:
-    """Product of pairwise differences (later minus earlier) of a non-empty tuple of ints."""
-    if not s or not all(type(v) is int for v in s):
-        raise InvalidHolesError(f"index set must be a non-empty tuple of ints, got {s!r}")
-    return _product(list(_differences(s)))
 
 
 def lemma6_lhs(n: int) -> Fraction:

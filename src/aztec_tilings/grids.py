@@ -48,9 +48,13 @@ def _unit_step(edge: PointPair) -> PointPair:
 
 
 def _int_points(points: Iterable[Point]) -> Iterator[Point]:
-    """Each point as an (x, y) tuple, checked before any is merged with an equal one:
-    a coordinate that is not an int (a float or a bool) raises ValueError."""
-    for x, y in points:
+    """Each point as an (x, y) tuple, checked before any is merged with an equal one: a point
+    that is not two ints (one value, three, a float or a bool) raises ValueError."""
+    for point in points:
+        try:
+            x, y = point
+        except (TypeError, ValueError):
+            raise ValueError(f"point {point!r} is not two coordinates") from None
         if type(x) is not int or type(y) is not int:
             raise ValueError(f"point ({x!r}, {y!r}) has a non-integer coordinate")
         yield x, y
@@ -126,7 +130,7 @@ class EmbeddedGraph:
     ) -> "EmbeddedGraph":
         """Build a graph from points; with pairs=None, connect all unit neighbors.
 
-        A coordinate that is not an int (a float or a bool) raises ValueError.
+        A point that is not two ints (one value, three, a float or a bool) raises ValueError.
         """
         vs = tuple(sorted(set(_int_points(points))))
         # Edges hold the vertex tuples themselves, so they allocate no points of their own.
@@ -212,12 +216,13 @@ class ReductionReport:
 
 def _column_runs(cells: Collection[Point]) -> Optional[list[tuple[int, int, int]]]:
     """The cells as int runs (x, lo, hi), x ascending, column x holding lo <= y < hi; None if
-    a column has a gap or a cell repeats.  A cell that is not two ints raises as in from_points."""
-    if {*map(len, cells)} - {2}:
-        list(_int_points(cells))  # raises at the first cell that is not two ints
-    xs, ys = _coords(cells)
-    if {*map(type, xs), *map(type, ys)} - {int}:
-        list(_int_points(cells))  # raises at the first cell that is not two ints
+    a column has a gap, a cell repeats or a cell is not two ints, which from_points refuses."""
+    try:  # an int cell has no length and no item 0, a one-value cell no item 1
+        xs, ys = _coords(cells)
+        if {*map(len, cells)} - {2} or {*map(type, xs), *map(type, ys)} - {int}:
+            return None
+    except (TypeError, IndexError):
+        return None
     # Key (x, y) as x*w + y, w wider than the span of y: the sorted keys run column by column,
     # y ascending, so column x's c cells are c keys, one run iff the last is the first + c - 1.
     w = max(ys, default=0) - min(ys, default=0) + 1
@@ -234,9 +239,8 @@ def _column_runs(cells: Collection[Point]) -> Optional[list[tuple[int, int, int]
 
 
 def dual_graph(region: "Region") -> EmbeddedGraph:
-    """Graph with one vertex per cell and edges between side-sharing cells, built from column
-    runs: a builder's region hands over its own, any other has them read off its cells.  Only a
-    region with a split column (or a repeated cell) goes through from_points."""
+    """One vertex per cell, edges between side-sharing cells, from column runs (the region's own,
+    or read off its cells); from_points takes a split column, a repeated cell or a cell not two ints."""
     runs = region._runs if region._runs is not None else _column_runs(region.cells)
     if runs is None:
         return EmbeddedGraph.from_points(region.cells)
@@ -306,26 +310,16 @@ def _joins_all_unit_pairs(g: EmbeddedGraph, xs: list[int], ys: list[int]) -> boo
 
 
 def normalize(g: EmbeddedGraph) -> EmbeddedGraph:
-    """Canonical representative under the 8 lattice symmetries and translation."""
-    if not g.vertices:
-        return g
-    coords = _coords(g.vertices)
-    best = None
-    for swap, sx, sy in _SIGN_SWAP:
-        us, vs = coords[::-1] if swap else coords
-        shifted = dict(zip(g.vertices, zip(map(_affine(us, sx, 0), us), map(_affine(vs, sy, 0), vs))))
-        points = tuple(sorted(shifted.values()))
-        es = []
-        for p, q in g.edges:
-            a, b = shifted[p], shifted[q]
-            es.append((a, b) if a < b else (b, a))
-        key = (points, tuple(sorted(es)))
-        if best is None or key < best:
-            best = key
-    # A symmetry and a shift keep points distinct and unit steps unit steps, and
-    # both tuples are sorted with each edge's smaller point first.  They map the unit
-    # pairs of g one to one onto those of the result, so a full g gives a full result.
-    return EmbeddedGraph._trusted(*best, full=g.full)
+    """Canonical form: the least of g's 8 lattice-symmetry images, each shifted to least x and y 0."""
+    images = []
+    for symmetry in LATTICE_SYMMETRIES:
+        moved = [symmetry(*p) for p in g.vertices]
+        low_x, low_y = min((x for x, _ in moved), default=0), min((y for _, y in moved), default=0)
+        at = {p: (x - low_x, y - low_y) for p, (x, y) in zip(g.vertices, moved)}
+        edges = sorted((at[p], at[q]) if at[p] < at[q] else (at[q], at[p]) for p, q in g.edges)
+        images.append((tuple(sorted(at.values())), tuple(edges)))
+    # Sorted, each edge smaller point first; a symmetry and a shift keep unit pairs one to one: full stays.
+    return EmbeddedGraph._trusted(*min(images), full=g.full)
 
 
 def _maps_onto(g1: EmbeddedGraph, g2: EmbeddedGraph,

@@ -13,7 +13,6 @@ from aztec_tilings.formulas import (
     _as_int,
     _product,
     aztec_diamond_value,
-    delta,
     lemma4_value,
     lemma5_value,
     lemma6_lhs,
@@ -171,10 +170,9 @@ def test_every_closed_form_is_pinned():
     lines += [hex(aztec_diamond_value(n)) for n in range(1, 301)]
     lines += [hex(lemma4_value(2 * n, 4 * n, set_B(n))) for n in range(1, 76)]
     lines += [hex(lemma5_value(2 * n, 4 * n - 1, set_A(n))) for n in range(1, 76)]
-    lines += [hex(delta(set_A(n))) for n in range(1, 76)]
     lines += [f"{hex(r.numerator)}/{hex(r.denominator)}" for r in map(lemma6_lhs, range(1, 101))]
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == "41e03e08d3872f133c6210e39e63b3ce63d3f878c4be98feb605ffc2034c2bef"
+    assert digest == "3e990c1a8c48d31edecdaaadb2f0b15c7483b98bd3d9fb99e2f7595ce7680eef"
 
 
 def test_lemma5_raises_on_an_odd_lemma4_value(monkeypatch):
@@ -257,18 +255,6 @@ def test_hole_formula_preconditions():
         lemma5_value(2, 3, (4, 1))
 
 
-def test_delta_values():
-    assert delta((1, 4)) == 3
-    assert delta((2, 3)) == 1
-    assert delta((1, 3, 6, 8)) == 2100
-    assert delta((7,)) == 1
-    with pytest.raises(InvalidHolesError):
-        delta(())
-    for s in ((1.0, 3, 5), (1, 3.5), (True, 3)):
-        with pytest.raises(InvalidHolesError, match="ints"):
-            delta(s)
-
-
 def test_difference_product_ratio():
     assert lemma6_lhs(1) == 3 == lemma6_rhs(1)
     assert lemma6_lhs(2) == Fraction(35, 3) == lemma6_rhs(2)
@@ -295,8 +281,6 @@ def _reference_lemma6_rhs(n):
 @pytest.mark.parametrize("n", [*range(1, 41), 100])
 def test_lemma6_sides_match_the_quadratic_reference(n):
     a, b = _reference_delta(set_A(n)), _reference_delta(set_B(n))
-    assert delta(set_A(n)) == a
-    assert delta(set_B(n)) == b
     assert lemma6_lhs(n) == Fraction(a, b)
     assert lemma6_rhs(n) == _reference_lemma6_rhs(n)
 
@@ -320,18 +304,6 @@ def test_lemma6_sides_accept_the_largest_order():
     assert lemma6_lhs(300) == lemma6_rhs(300)
 
 
-@given(st.lists(st.integers(-8, 8) | st.integers(-10**12, 10**12), min_size=1, max_size=12))
-def test_delta_sign_follows_the_order(values):
-    s = tuple(values)
-    assert delta(s) == _reference_delta(s)
-    assert delta(s + s[:1]) == 0
-    if len(set(s)) < len(s):
-        assert delta(s) == 0
-    else:
-        inversions = sum(s[i] > s[j] for i in range(len(s)) for j in range(i + 1, len(s)))
-        assert delta(s) == (-1) ** inversions * delta(tuple(sorted(s)))
-
-
 @functools.cache
 def _lemma1_cases() -> dict:
     """The lemma1 suite's cases for n = 1, 2 by id: expected 2^n M(right), actual M(left)."""
@@ -345,7 +317,7 @@ def test_doubling_recurrences(which, n):
 
 
 @pytest.mark.parametrize("n", (1, 2))
-def test_counted_rectangle_ratios_equal_delta_ratio(n):
+def test_counted_rectangle_ratios_equal_lemma6_lhs(n):
     # The A-set and B-set variants of one rectangle differ in count by
     # exactly the ratio of their pairwise-difference products.
     from aztec_tilings.regions import build_holey_ar, build_holey_ar_bar, set_A, set_B

@@ -455,8 +455,9 @@ def test_outside_input_is_still_validated_with_the_same_message(build, message):
         {(0, 0), (0, 1), (0, 2.5)},
         {(0, 0), (0,)},
         {(0, 0), (0, 1, 2)},
+        {(0, 0), 1},  # no length and no coordinates
     ],
-    ids=["bool_y", "float_y", "float_x", "bool_x", "float_off_the_run", "short_cell", "long_cell"],
+    ids=["bool_y", "float_y", "float_x", "bool_x", "float_off_the_run", "short_cell", "long_cell", "int_cell"],
 )
 def test_a_plain_region_with_a_float_bool_or_odd_length_cell_is_refused_as_from_points_refuses_it(cells):
     # A plain region has no stored runs, so dual_graph reads its cells itself.

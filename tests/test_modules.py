@@ -1,6 +1,10 @@
-"""Source checks that run on every module of the package and of the tests."""
+"""Source checks that run on every module of the package and of the tests, and on the
+package names that the benchmark under perfbench/ uses."""
 
 import ast
+import importlib.util
+import sys
+import types
 from collections import Counter
 from pathlib import Path
 
@@ -60,3 +64,38 @@ def test_no_count_outlives_the_run_that_made_it(path):
               for alias in node.names}
     assert not names & {"cache", "lru_cache", "cached_property"}
     assert _module_stores(tree) == []
+
+
+def test_the_package_imports_exactly_the_names_it_exports():
+    # A name retired from __all__ must leave the imports too, and the other way round.
+    tree = ast.parse((ROOT / "src" / "aztec_tilings" / "__init__.py").read_text())
+    imported = [alias.asname or alias.name for node in tree.body if isinstance(node, ast.ImportFrom)
+                for alias in node.names]
+    (exported,) = [ast.literal_eval(node.value) for node in tree.body
+                   if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["__all__"]]
+    assert len(set(exported)) == len(exported)
+    assert sorted(imported) == sorted(exported)
+
+
+def _load_benchmark_module(monkeypatch, name: str) -> types.ModuleType:
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_package_name_the_benchmark_uses_still_exists(monkeypatch):
+    # The benchmark's files are fixed while the package changes under them, so a retired or
+    # renamed name would otherwise show only when a benchmark run fails.
+    tracer, workloads = (_load_benchmark_module(monkeypatch, name) for name in ("tracer", "workloads"))
+    tracer.Tracer()  # looks up every traced function; never installed, so nothing is rebound
+    for source in (tracer, workloads):
+        modules = {name: value for name, value in vars(source).items()
+                   if isinstance(value, types.ModuleType) and value.__name__.startswith("aztec_tilings.")}
+        for node in ast.walk(ast.parse(Path(source.__file__).read_text())):
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in modules:
+                assert hasattr(modules[node.value.id], node.attr), f"{node.value.id}.{node.attr}"
+    assert callable(tracer.grids.normalize) and callable(workloads.EmbeddedGraph.point_pairs)
+    for name, jobs in workloads.WORKLOADS.items():
+        assert jobs(1), f"{name} builds no job for seed 1"
